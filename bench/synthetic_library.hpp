@@ -24,11 +24,10 @@
 
 namespace dslayer::bench {
 
-/// Exact single-operation latency at EOL = 768 bits in us, unjittered —
-/// byte-identical to what domains::latency_filter recomputes from the
-/// slice bindings when the session's EffectiveOperandLength is 768. A
-/// `latency_eol768_us <= LatencySingleOperation` PredicateAtom is
-/// therefore a sound ACCEPT prefilter for that filter on these cores.
+/// Single-operation latency at EOL = 768 bits in us, unjittered. No
+/// filter or bench reads it; it stays because the end-to-end benchmark's
+/// fixture catalog is generated from this library, and dropping a metric
+/// would change the catalog (and the snapshot) that benchmark measures.
 inline constexpr const char* kMetricLatencyEol768Us = "latency_eol768_us";
 
 namespace detail {
@@ -99,8 +98,8 @@ inline std::size_t populate_synthetic_library(dsl::ReuseLibrary& lib, std::size_
                                                   ? "Redundant"
                                                   : "2's complement"))
         .bind(kOperandCoding, dsl::Value::text("2's complement"));
-    // The slice metrics carry the per-copy jitter; latency_eol768_us must
-    // stay exact (the prefilter contract above), so it is never jittered.
+    // The slice metrics carry the per-copy jitter; latency_eol768_us is
+    // never jittered (see kMetricLatencyEol768Us).
     core.set_metric(kMetricArea, combo.area * jitter)
         .set_metric(kMetricClockNs, combo.clock_ns * jitter)
         .set_metric(kMetricLatencyNs, combo.latency_ns * jitter)

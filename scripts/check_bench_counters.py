@@ -17,7 +17,7 @@ disagreement — fails CI even when the wall times still look fine.
 An expectation may also be a bound object instead of an exact value:
 
     "bytes_per_core": {"max": 200.0}        # actual <= 200.0
-    "prefilter_skips": {"min": 1}           # actual >= 1
+    "speedup": {"min": 5.0}                 # actual >= 5.0
 
 Bounds are for values that are deterministic in shape but not bit-exact
 across platforms (the columnar table's memory footprint depends on the

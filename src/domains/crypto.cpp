@@ -14,6 +14,8 @@ using dsl::Bindings;
 using dsl::Compliance;
 using dsl::ConsistencyConstraint;
 using dsl::Core;
+using dsl::FilterRead;
+using dsl::FilterView;
 using dsl::Property;
 using dsl::PropertyPath;
 using dsl::ReuseLibrary;
@@ -62,11 +64,6 @@ bigint::MontVariant parse_variant(const std::string& s) {
   throw PreconditionError(cat("unknown scanning method '", s, "'"));
 }
 
-std::string text_of(const Bindings& bindings, const char* name, const char* fallback) {
-  const Value v = dsl::get_or_empty(bindings, name);
-  return v.kind() == Value::Kind::kText ? v.as_text() : fallback;
-}
-
 double number_of(const Bindings& bindings, const char* name, double fallback) {
   const Value v = dsl::get_or_empty(bindings, name);
   return v.kind() == Value::Kind::kNumber ? v.as_number() : fallback;
@@ -80,7 +77,7 @@ void build_hierarchy(dsl::DesignSpaceLayer& layer, const CryptoLayerOptions& opt
   dsl::Cdo& op = layer.space().add_root(
       "Operator", "Arithmetic/logic operators for encryption applications (Fig. 5)");
   op.add_property(Property::requirement(
-      kEOL, ValueDomain::positive_integers(),
+      kEOL, ValueDomain::positive_integers(kMaxEffectiveOperandLength),
       "Effective operand length in bits (Req1; cryptographic moduli reach 2^1000+)",
       Unit::kBits));
   op.add_property(Property::generalized_issue(
@@ -513,60 +510,36 @@ void populate_arith_library(ReuseLibrary& lib) {
 // Requirement filters (compliance too rich for the declarative enum)
 // ---------------------------------------------------------------------------
 
-bool latency_filter(const Core& core, const Bindings& bindings) {
-  const double bound_us = number_of(bindings, kLatencyBound, 1.0e12);
-  const double eol = number_of(bindings, kEOL, 0.0);
-  if (eol <= 0.0) return true;  // cannot evaluate until the EOL is known
-
-  const std::string style = text_of(bindings, kImplStyle, "");
-  const auto impl = core.binding(kImplStyle);
-  const std::string core_style =
-      impl.has_value() && impl->kind() == Value::Kind::kText ? impl->as_text() : "";
-
-  if (core_style == "Hardware") {
-    const rtl::SliceConfig config = slice_config_from_core(core);
-    const rtl::MultiplierDesign design =
-        rtl::MultiplierDesign::for_operand_length(config, static_cast<unsigned>(eol));
-    return design.latency_ns(static_cast<unsigned>(eol)) / 1000.0 <= bound_us;
-  }
-  if (core_style == "Software") {
-    const swmodel::SoftwareCore sw = software_core_from(core);
-    return sw.mont_mul_us(static_cast<unsigned>(eol)) <= bound_us;
-  }
-  (void)style;
-  return true;  // cores of other classes are not latency-constrained here
-}
-
-bool power_filter(const Core& core, const Bindings& bindings) {
-  const double budget_mw = number_of(bindings, kPowerBudget, 1.0e12);
-  const double eol = number_of(bindings, kEOL, 0.0);
-  const auto impl = core.binding(kImplStyle);
-  if (!impl.has_value() || impl->kind() != Value::Kind::kText ||
-      impl->as_text() != "Hardware" || eol <= 0.0) {
-    return true;  // only composed hardware blocks draw the budget here
-  }
-  const rtl::SliceConfig config = slice_config_from_core(core);
-  const rtl::MultiplierDesign design =
-      rtl::MultiplierDesign::for_operand_length(config, static_cast<unsigned>(eol));
-  return design.power_mw() <= budget_mw;
-}
-
-}  // namespace
-
-rtl::SliceConfig slice_config_from_core(const Core& core) {
-  const auto text = [&core](const char* name) {
-    const auto v = core.binding(name);
-    if (!v.has_value() || v->kind() != Value::Kind::kText) {
-      throw PreconditionError(cat("core '", core.name(), "' lacks text binding '", name, "'"));
+/// The core bindings the latency and power filters read: a hardware
+/// slice's configuration, a software routine's, and which of the two a
+/// core is. The 1M-core synthetic catalog has 80 distinct keys of these.
+const std::vector<FilterRead>& filter_reads() {
+  static const std::vector<FilterRead> reads = [] {
+    std::vector<FilterRead> out;
+    for (const char* name : {kImplStyle, kAlgorithm, kRadix, kLoopAdder, kLoopMultiplier,
+                             kSliceWidth, kFabTech, kLayoutStyle, kScanning, kCodeQuality}) {
+      out.push_back(FilterRead::binding(name));
     }
-    return v->as_text();
+    return out;
+  }();
+  return reads;
+}
+
+/// Errors name the missing property, not the core: a filter verdict may
+/// stand for many cores.
+rtl::SliceConfig slice_config_of(const FilterView& core) {
+  const auto binding = [&core](const char* name, Value::Kind kind) -> const Value& {
+    const Value* v = core.binding(name);
+    if (v == nullptr || v->kind() != kind) {
+      throw PreconditionError(cat("hardware core lacks ",
+                                  kind == Value::Kind::kText ? "text" : "numeric", " binding '",
+                                  name, "'"));
+    }
+    return *v;
   };
-  const auto number = [&core](const char* name) {
-    const auto v = core.binding(name);
-    if (!v.has_value() || v->kind() != Value::Kind::kNumber) {
-      throw PreconditionError(cat("core '", core.name(), "' lacks numeric binding '", name, "'"));
-    }
-    return v->as_number();
+  const auto text = [&](const char* name) { return binding(name, Value::Kind::kText).as_text(); };
+  const auto number = [&](const char* name) {
+    return binding(name, Value::Kind::kNumber).as_number();
   };
   rtl::SliceConfig config;
   config.algorithm = parse_algorithm(text(kAlgorithm));
@@ -578,16 +551,60 @@ rtl::SliceConfig slice_config_from_core(const Core& core) {
   return config;
 }
 
-swmodel::SoftwareCore software_core_from(const Core& core) {
-  const auto variant = core.binding(kScanning);
-  const auto quality = core.binding(kCodeQuality);
-  if (!variant.has_value() || !quality.has_value()) {
-    throw PreconditionError(cat("core '", core.name(), "' is not a software routine"));
+swmodel::SoftwareCore software_core_of(const FilterView& core) {
+  const Value* variant = core.binding(kScanning);
+  const Value* quality = core.binding(kCodeQuality);
+  if (variant == nullptr || quality == nullptr) {
+    throw PreconditionError(
+        cat("software core lacks binding '", variant == nullptr ? kScanning : kCodeQuality, "'"));
   }
   const swmodel::CodeQuality q = quality->as_text() == to_string(swmodel::CodeQuality::kC)
                                      ? swmodel::CodeQuality::kC
                                      : swmodel::CodeQuality::kAssembly;
   return swmodel::SoftwareCore(parse_variant(variant->as_text()), q, swmodel::pentium60());
+}
+
+std::string impl_style_of(const FilterView& core) {
+  const Value* impl = core.binding(kImplStyle);
+  return impl != nullptr && impl->kind() == Value::Kind::kText ? impl->as_text() : "";
+}
+
+bool latency_filter(const FilterView& core, const Bindings& bindings) {
+  const double bound_us = number_of(bindings, kLatencyBound, 1.0e12);
+  const double eol = number_of(bindings, kEOL, 0.0);
+  if (eol <= 0.0) return true;  // cannot evaluate until the EOL is known
+
+  const std::string style = impl_style_of(core);
+  if (style == "Hardware") {
+    const unsigned bits = static_cast<unsigned>(eol);
+    const auto design = rtl::MultiplierDesign::for_operand_length(slice_config_of(core), bits);
+    return design.latency_ns(bits) / 1000.0 <= bound_us;
+  }
+  if (style == "Software") {
+    return software_core_of(core).mont_mul_us(static_cast<unsigned>(eol)) <= bound_us;
+  }
+  return true;  // cores of other classes are not latency-constrained here
+}
+
+bool power_filter(const FilterView& core, const Bindings& bindings) {
+  const double budget_mw = number_of(bindings, kPowerBudget, 1.0e12);
+  const double eol = number_of(bindings, kEOL, 0.0);
+  if (impl_style_of(core) != "Hardware" || eol <= 0.0) {
+    return true;  // only composed hardware blocks draw the budget here
+  }
+  const unsigned bits = static_cast<unsigned>(eol);
+  return rtl::MultiplierDesign::for_operand_length(slice_config_of(core), bits).power_mw() <=
+         budget_mw;
+}
+
+}  // namespace
+
+rtl::SliceConfig slice_config_from_core(const Core& core) {
+  return slice_config_of(FilterView(core, filter_reads()));
+}
+
+swmodel::SoftwareCore software_core_from(const Core& core) {
+  return software_core_of(FilterView(core, filter_reads()));
 }
 
 std::unique_ptr<dsl::DesignSpaceLayer> build_crypto_layer(const CryptoLayerOptions& options) {
@@ -599,8 +616,8 @@ std::unique_ptr<dsl::DesignSpaceLayer> build_crypto_layer(const CryptoLayerOptio
   populate_software_library(layer->add_library("soft-ip"));
   populate_arith_library(layer->add_library("arith-blocks"));
 
-  layer->set_core_filter(kLatencyBound, latency_filter);
-  layer->set_core_filter(kPowerBudget, power_filter);
+  layer->set_core_filter(kLatencyBound, {filter_reads(), latency_filter});
+  layer->set_core_filter(kPowerBudget, {filter_reads(), power_filter});
 
   // DI7's schema: the operator kinds appearing in the behavioral
   // descriptions recurse into these classes (Fig. 10's arrows from the

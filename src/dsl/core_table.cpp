@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <limits>
 #include <new>
 #include <type_traits>
 
@@ -282,6 +283,44 @@ void CoreFilterPlan::compile(
 }
 
 // ---------------------------------------------------------------------------
+// FilterRead / FilterView
+
+FilterRead FilterRead::binding(std::string name) {
+  FilterRead read;
+  read.source = Source::kBinding;
+  read.symbol = support::intern_symbol(name);
+  read.name = std::move(name);
+  return read;
+}
+
+FilterRead FilterRead::metric(std::string name) {
+  FilterRead read = binding(std::move(name));
+  read.source = Source::kMetric;
+  return read;
+}
+
+support::Symbol FilterView::declared(FilterRead::Source source, std::string_view name) const {
+  for (const FilterRead& read : *reads_) {
+    if (read.source == source && read.name == name) return read.symbol;
+  }
+  throw DefinitionError(cat("core filter reads undeclared ",
+                            source == FilterRead::Source::kBinding ? "binding" : "metric", " '",
+                            name, "'"));
+}
+
+const Value* FilterView::binding(std::string_view name) const {
+  return core_->binding(declared(FilterRead::Source::kBinding, name));
+}
+
+std::optional<double> FilterView::metric(std::string_view name) const {
+  const support::Symbol symbol = declared(FilterRead::Source::kMetric, name);
+  for (const CoreMetric& m : core_->metrics()) {
+    if (m.symbol == symbol) return m.value;
+  }
+  return std::nullopt;
+}
+
+// ---------------------------------------------------------------------------
 // BindingsOverlay
 
 std::size_t BindingsOverlay::apply(const Core& core) {
@@ -526,100 +565,6 @@ void classify_op(ResolvedOp& op) {
   op.mode = OpMode::kScalar;
 }
 
-/// One prefilter atom lowered against the table and session bindings.
-/// Terms resolve binding column -> metric column -> session binding ->
-/// atom constant (metric columns are a prefilter-only power: predicate
-/// atoms never see metrics, but a declared prefilter may bound one).
-struct PrefilterAtom {
-  simd::Cmp cmp = simd::Cmp::kEq;
-  bool is_sym = false;
-  bool has_factor = false;
-  simd::Lane lhs;
-  simd::Lane factor;
-  simd::Lane rhs;
-  const std::uint32_t* sym_lhs = nullptr;
-  const std::uint32_t* sym_rhs = nullptr;
-  std::uint32_t sym_const = support::kNoSymbol;
-  bool sym_negate = false;
-  const std::uint64_t* present[3] = {nullptr, nullptr, nullptr};
-  int present_count = 0;
-};
-
-/// Lowers `atom`; returns false if any term fails to resolve to a
-/// vectorizable source, which disables the whole prefilter (the lambda
-/// then runs on every row — slower, never wrong).
-bool resolve_prefilter_atom(const CoreTable& table, const Bindings& bound,
-                            const PredicateAtom& atom, PrefilterAtom& out) {
-  const auto num_source = [&](const std::string& name, simd::Lane& lane) {
-    if (const auto sym = support::lookup_symbol(name); sym.has_value()) {
-      if (const Column* column = table.binding_column(*sym);
-          column != nullptr && column->kind == ColumnKind::kNumber) {
-        lane.col = column->numbers.data();
-        out.present[out.present_count++] = column->present.data();
-        return true;
-      }
-      if (const Column* column = table.metric_column(*sym); column != nullptr) {
-        lane.col = column->numbers.data();
-        out.present[out.present_count++] = column->present.data();
-        return true;
-      }
-    }
-    const auto it = bound.find(name);
-    if (it != bound.end() && it->second.kind() == Value::Kind::kNumber) {
-      lane.broadcast = it->second.as_number();
-      return true;
-    }
-    return false;
-  };
-  const auto sym_col_source = [&](const std::string& name, const std::uint32_t*& col) {
-    const auto sym = support::lookup_symbol(name);
-    if (!sym.has_value()) return false;
-    const Column* column = table.binding_column(*sym);
-    if (column == nullptr || column->kind != ColumnKind::kText) return false;
-    col = column->texts.data();
-    out.present[out.present_count++] = column->present.data();
-    return true;
-  };
-
-  out.cmp = to_simd(atom.cmp);
-  // Text shape: lhs must be a text column; rhs a text constant, session
-  // text binding, or another text column. ==/!= only.
-  const bool rhs_text = atom.rhs_property.empty()
-                            ? atom.rhs_const.kind() == Value::Kind::kText
-                            : false;  // rhs property kind decided by its column below
-  if (atom.lhs_factor.empty() && rhs_text) {
-    if (atom.cmp != PredicateAtom::Cmp::kEq && atom.cmp != PredicateAtom::Cmp::kNe) return false;
-    if (!sym_col_source(atom.lhs, out.sym_lhs)) return false;
-    out.is_sym = true;
-    out.sym_const = support::intern_symbol(atom.rhs_const.as_text());
-    out.sym_negate = atom.cmp == PredicateAtom::Cmp::kNe;
-    return true;
-  }
-
-  // Numeric shape: (lhs [* factor]) cmp rhs.
-  if (!num_source(atom.lhs, out.lhs)) {
-    // Retry as column-vs-column text equality before giving up.
-    if (atom.lhs_factor.empty() && !atom.rhs_property.empty() &&
-        (atom.cmp == PredicateAtom::Cmp::kEq || atom.cmp == PredicateAtom::Cmp::kNe)) {
-      out.present_count = 0;
-      if (sym_col_source(atom.lhs, out.sym_lhs) && sym_col_source(atom.rhs_property, out.sym_rhs)) {
-        out.is_sym = true;
-        out.sym_negate = atom.cmp == PredicateAtom::Cmp::kNe;
-        return true;
-      }
-    }
-    return false;
-  }
-  if (!atom.lhs_factor.empty()) {
-    if (!num_source(atom.lhs_factor, out.factor)) return false;
-    out.has_factor = true;
-  }
-  if (!atom.rhs_property.empty()) return num_source(atom.rhs_property, out.rhs);
-  if (atom.rhs_const.kind() != Value::Kind::kNumber) return false;
-  out.rhs.broadcast = atom.rhs_const.as_number();
-  return true;
-}
-
 /// Runs `fn(word)` over every mask word, chunk-parallel when asked.
 /// Chunks never share a word, so workers write disjoint memory.
 template <typename WordFn>
@@ -652,6 +597,183 @@ void sweep_rows(std::uint64_t* mask, std::size_t words, bool parallel, const Kee
   });
 }
 
+/// One cell of a custom filter's key: the exact payload bits (double
+/// bits, interned symbol, or flag; 0 when absent) and a tag (0 = absent,
+/// else 1 + Value::Kind). Rows with equal cells in every declared column
+/// show a filter identical values.
+struct KeyCell {
+  std::uint64_t bits = 0;
+  std::uint64_t tag = 0;
+
+  bool operator==(const KeyCell&) const = default;
+};
+
+/// Calls `fn(cell_of)`, where `cell_of(row)` is the row's KeyCell in
+/// `column`, specialized for the column's kind so that loops over rows
+/// compile to straight loads and masks.
+template <typename Fn>
+void with_cell_reader(const Column& column, const Fn& fn) {
+  const auto tag = [](Value::Kind kind) { return static_cast<std::uint64_t>(kind) + 1; };
+  switch (column.kind) {
+    case ColumnKind::kNumber:
+      return fn([&](std::size_t row) {
+        const std::uint64_t present = (column.present[row >> 6] >> (row & 63)) & 1u;
+        return KeyCell{std::bit_cast<std::uint64_t>(column.numbers[row]) & (0 - present),
+                       present * tag(Value::Kind::kNumber)};
+      });
+    case ColumnKind::kText:
+      return fn([&](std::size_t row) {
+        const std::uint64_t present = (column.present[row >> 6] >> (row & 63)) & 1u;
+        return KeyCell{std::uint64_t{column.texts[row]} & (0 - present),
+                       present * tag(Value::Kind::kText)};
+      });
+    case ColumnKind::kMixed:
+      return fn([&](std::size_t row) {
+        if (!column.has(row)) return KeyCell{};
+        const Value& value = column.values[row];
+        switch (value.kind()) {
+          case Value::Kind::kNumber:
+            return KeyCell{std::bit_cast<std::uint64_t>(value.as_number()), tag(value.kind())};
+          case Value::Kind::kText: return KeyCell{column.texts[row], tag(value.kind())};
+          case Value::Kind::kFlag: return KeyCell{value.as_flag() ? 1u : 0u, tag(value.kind())};
+          case Value::Kind::kEmpty: break;
+        }
+        return KeyCell{0, tag(value.kind())};
+      });
+  }
+}
+
+/// Folds one key cell into a row's key hash.
+constexpr std::uint64_t kKeyHashSeed = 0x9e3779b97f4a7c15ull;
+
+std::uint64_t key_hash(std::uint64_t h, KeyCell cell) {
+  const std::uint64_t x = (h ^ cell.bits) * 0xff51afd7ed558ccdull + cell.tag;
+  return x ^ (x >> 29);
+}
+
+/// Step 2c for one filter: calls it once per distinct key of its declared
+/// columns among the alive rows, at the key's first alive row and in row
+/// order (so a throwing filter throws where a per-row scan would), and
+/// applies that verdict to the key's other rows. Rows are hashed
+/// word-parallel, grouped by hash on this thread, and then compared with
+/// their group's first row word-parallel: the hash proposes groups, the
+/// comparison proves them. After a collision (two keys, one hash) the
+/// filter runs on every alive row instead, which costs speed, never a
+/// verdict. Calls stay on this thread: registered filters make no
+/// thread-safety promise.
+void apply_custom_filter(const CoreTable& table, const CoreFilter& filter, const Bindings& bound,
+                         std::uint64_t* mask, bool parallel, support::Arena& arena,
+                         telemetry::Telemetry& telemetry) {
+  DSLAYER_REQUIRE(table.rows() < std::numeric_limits<std::uint32_t>::max(),
+                  "filter groups index rows as u32");
+  const std::size_t words = table.words();
+  // Declared columns some alive row carries; a property absent from every
+  // alive row cannot tell rows apart.
+  const Column** columns = arena.alloc_array<const Column*>(filter.reads.size());
+  std::size_t column_count = 0;
+  for (const FilterRead& read : filter.reads) {
+    const Column* column = read.source == FilterRead::Source::kBinding
+                               ? table.binding_column(read.symbol)
+                               : table.metric_column(read.symbol);
+    if (column == nullptr) continue;
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < words && any == 0; ++w) any = column->present[w] & mask[w];
+    if (any != 0) columns[column_count++] = column;
+  }
+  const auto for_each_alive = [&](const auto& fn) {
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+        fn(w, (w << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  };
+
+  std::uint64_t* hash = arena.alloc_array<std::uint64_t>(words * 64);
+  for_each_word(words, parallel, [&](std::size_t w) {
+    if (mask[w] == 0) return;
+    std::uint64_t* h = hash + (w << 6);
+    std::fill(h, h + 64, kKeyHashSeed);
+    for (std::size_t c = 0; c < column_count; c += 2) {  // two columns per pass
+      with_cell_reader(*columns[c], [&](const auto& a) {
+        with_cell_reader(*columns[c + 1 < column_count ? c + 1 : c], [&](const auto& b) {
+          for (std::size_t bit = 0; bit < 64; ++bit) {
+            h[bit] = key_hash(key_hash(h[bit], a((w << 6) + bit)), b((w << 6) + bit));
+          }
+        });
+      });
+    }
+  });
+
+  // Group by hash. Open addressing at load <= 1/2; a slot holds a hash
+  // and its group + 1 (0 = empty).
+  struct Slot {
+    std::uint64_t hash;
+    std::uint32_t group1;
+  };
+  const auto empty_slots = [&](std::size_t n) {
+    Slot* slots = arena.alloc_array<Slot>(n);
+    std::fill(slots, slots + n, Slot{0, 0});
+    return slots;
+  };
+  const auto find = [](const Slot* slots, std::size_t n, std::uint64_t h) {
+    std::size_t i = h & (n - 1);
+    while (slots[i].group1 != 0 && slots[i].hash != h) i = (i + 1) & (n - 1);
+    return i;
+  };
+  std::uint32_t* group = arena.alloc_array<std::uint32_t>(words * 64);
+  std::uint32_t* first_row = arena.alloc_array<std::uint32_t>(popcount(mask, words));
+  std::uint32_t groups = 0;
+  std::size_t capacity = 64;
+  Slot* slots = empty_slots(capacity);
+  for_each_alive([&](std::size_t, std::size_t row) {
+    const std::size_t i = find(slots, capacity, hash[row]);
+    if (slots[i].group1 != 0) {
+      group[row] = slots[i].group1 - 1;
+      return;
+    }
+    first_row[groups] = static_cast<std::uint32_t>(row);
+    group[row] = groups;
+    slots[i] = Slot{hash[row], ++groups};
+    if (std::size_t{groups} * 2 <= capacity) return;
+    Slot* grown = empty_slots(capacity * 2);
+    for (std::size_t j = 0; j < capacity; ++j) {
+      if (slots[j].group1 != 0) grown[find(grown, capacity * 2, slots[j].hash)] = slots[j];
+    }
+    slots = grown;
+    capacity *= 2;
+  });
+
+  std::atomic<bool> collided{false};
+  for_each_word(words, parallel, [&](std::size_t w) {
+    for (std::size_t c = 0; c < column_count; c += 2) {
+      with_cell_reader(*columns[c], [&](const auto& a) {
+        with_cell_reader(*columns[c + 1 < column_count ? c + 1 : c], [&](const auto& b) {
+          for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+            const std::size_t row = (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+            const std::size_t first = first_row[group[row]];
+            if (!(a(row) == a(first)) || !(b(row) == b(first))) {
+              collided.store(true, std::memory_order_relaxed);
+            }
+          }
+        });
+      });
+    }
+  });
+
+  // Verdict per group: 0 = not called yet, 1 = keep, 2 = reject.
+  const bool per_row = collided.load(std::memory_order_relaxed);
+  std::uint8_t* verdict = arena.alloc_array<std::uint8_t>(groups);
+  std::fill(verdict, verdict + groups, std::uint8_t{0});
+  for_each_alive([&](std::size_t w, std::size_t row) {
+    std::uint8_t& v = verdict[group[row]];
+    if (v == 0 || per_row) {
+      telemetry.count(telemetry::EventKind::kFilterCall);
+      v = filter.accepts(FilterView(*table.cores()[row], filter.reads), bound) ? 1 : 2;
+    }
+    if (v == 2) mask[w] &= ~(std::uint64_t{1} << (row & 63));
+  });
+}
+
 }  // namespace
 
 std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const FilterQuery& query,
@@ -675,8 +797,8 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
   const simd::KernelOps& kops = simd::kernels();
   const std::size_t words = table.words();
 
-  // All per-sweep scratch (survivor mask, resolved terms, prefilter
-  // programs) lives in this thread's bump arena and is released, not
+  // All per-sweep scratch (survivor mask, resolved terms, filter key
+  // tables) lives in this thread's bump arena and is released, not
   // freed, when the sweep returns — steady state touches no allocator.
   support::Arena& arena = support::Arena::scratch();
   support::ArenaScope scratch_scope(arena);
@@ -761,59 +883,10 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
     });
   }
 
-  // Step 2c: custom filters, row-wise and sequential (registered lambdas
-  // make no thread-safety promise). A declared pass_when prefilter
-  // proves rows compliant word-parallel first; only the residual runs
-  // the lambda.
-  for (const FilterQuery::Custom& custom : query.custom) {
-    PrefilterAtom* atoms = nullptr;
-    std::size_t atom_count = 0;
-    if (custom.pass_when != nullptr && !custom.pass_when->empty()) {
-      atoms = arena.alloc_array<PrefilterAtom>(custom.pass_when->size());
-      for (const PredicateAtom& atom : *custom.pass_when) {
-        PrefilterAtom* lowered = ::new (static_cast<void*>(atoms + atom_count)) PrefilterAtom();
-        if (!resolve_prefilter_atom(table, *query.bound, atom, *lowered)) {
-          atom_count = 0;  // unresolvable term: prefilter off, lambda runs everywhere
-          break;
-        }
-        ++atom_count;
-      }
-    }
-    std::uint64_t skipped = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t alive = mask[w];
-      if (alive == 0) continue;
-      std::uint64_t pass = 0;
-      if (atom_count != 0) {
-        pass = alive;
-        for (std::size_t a = 0; a < atom_count && pass != 0; ++a) {
-          const PrefilterAtom& atom = atoms[a];
-          std::uint64_t present = ~std::uint64_t{0};
-          for (int p = 0; p < atom.present_count; ++p) present &= atom.present[p][w];
-          const std::uint64_t holds =
-              atom.is_sym
-                  ? kops.eq_sym(atom.sym_lhs + (w << 6),
-                                atom.sym_rhs != nullptr ? atom.sym_rhs + (w << 6) : nullptr,
-                                atom.sym_const, atom.sym_negate)
-                  : kops.cmp_num(lane_at(atom.lhs, w), lane_at(atom.factor, w),
-                                 atom.has_factor, atom.cmp, lane_at(atom.rhs, w));
-          pass &= present & holds;
-        }
-        skipped += static_cast<std::uint64_t>(std::popcount(pass));
-      }
-      std::uint64_t bits = alive & ~pass;
-      std::uint64_t cleared = 0;
-      while (bits != 0) {
-        const int bit = std::countr_zero(bits);
-        const std::size_t row = (w << 6) + static_cast<std::size_t>(bit);
-        if (!(*custom.filter)(*table.cores()[row], *query.bound)) {
-          cleared |= (std::uint64_t{1} << bit);
-        }
-        bits &= bits - 1;
-      }
-      mask[w] &= ~cleared;
-    }
-    if (skipped != 0) telemetry.count(EventKind::kPrefilterSkip, skipped);
+  // Step 2c: custom filters, each called once per distinct key of the
+  // columns it declares.
+  for (const CoreFilter* filter : query.custom) {
+    apply_custom_filter(table, *filter, *query.bound, mask, parallel, arena, telemetry);
   }
 
   // Step 3: predicate constraints in index order. Evaluating each over

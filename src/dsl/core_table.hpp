@@ -30,16 +30,15 @@
 //    column value falling back to a session binding, mixed-kind cells)
 //    are patched through the scalar interpreter, so survivors are
 //    bit-identical to a scalar sweep. Per-sweep scratch (the survivor
-//    mask, resolved terms, prefilter masks) comes from the calling
+//    mask, resolved terms, filter key tables) comes from the calling
 //    thread's bump arena (support/arena.hpp) — a steady-state sweep
 //    performs no heap allocation. Tables larger than
 //    columnar_parallel_threshold() split into 64-row-aligned chunks on
 //    support::ChunkPool::shared(); chunks never share a mask word, so
 //    workers write disjoint memory and results are deterministic.
-//    Custom (opaque lambda) filters may carry a PredicateAtom
-//    conjunction prefilter: rows the atoms prove compliant skip the
-//    lambda entirely (counted as kPrefilterSkip); only the residual
-//    runs interpreted.
+//    Custom filters (CoreFilter) run once per distinct key of the
+//    columns they declare, not once per row: rows sharing a key share
+//    the verdict (counted as kFilterCall per invocation).
 //
 // The engine mirrors the legacy semantics exactly — same survivors, same
 // ConstraintEvaluated / ComplianceCheck counter totals — which the
@@ -48,8 +47,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -63,9 +65,53 @@ class Telemetry;
 
 namespace dslayer::dsl {
 
-/// Compliance predicate for one requirement (the DesignSpaceLayer
-/// registry type; re-exported there as DesignSpaceLayer::CoreFilter).
-using CoreFilter = std::function<bool(const Core&, const Bindings&)>;
+/// One core property a CoreFilter reads: a binding or a metric, by name.
+/// The symbol is interned at construction, so the engines resolve the
+/// table column without a string lookup.
+struct FilterRead {
+  enum class Source : std::uint8_t { kBinding, kMetric };
+  Source source = Source::kBinding;
+  std::string name;
+  support::Symbol symbol = support::kNoSymbol;
+
+  static FilterRead binding(std::string name);
+  static FilterRead metric(std::string name);
+};
+
+/// What a CoreFilter sees of one core: the properties its registration
+/// declares, and nothing else — no name, no other bindings, no views.
+/// Reading an undeclared property throws DefinitionError, so a filter's
+/// verdict provably depends only on its declared reads and the session
+/// bindings; that is what lets the columnar engine share one verdict
+/// among all rows with equal declared values.
+class FilterView {
+ public:
+  FilterView(const Core& core, const std::vector<FilterRead>& reads)
+      : core_(&core), reads_(&reads) {}
+
+  /// The core's value of declared binding `name`; nullptr if unbound.
+  const Value* binding(std::string_view name) const;
+  /// The core's value of declared metric `name`; nullopt if unset.
+  std::optional<double> metric(std::string_view name) const;
+
+ private:
+  support::Symbol declared(FilterRead::Source source, std::string_view name) const;
+
+  const Core* core_;
+  const std::vector<FilterRead>* reads_;
+};
+
+/// Compliance filter for one requirement, registered by domain layers
+/// for rules too rich for the declarative Compliance enum (e.g. "latency
+/// of a composed multiplier at the required EOL"): `accepts` decides
+/// whether a core satisfies the requirement given the session bindings,
+/// seeing the core only through a FilterView over `reads`. It must be a
+/// pure function of those two inputs: the columnar engine calls it once
+/// per distinct key of the declared reads rather than once per core.
+struct CoreFilter {
+  std::vector<FilterRead> reads;
+  std::function<bool(const FilterView&, const Bindings&)> accepts;
+};
 
 /// One column payload: either owned (a vector, the build path) or aliasing
 /// an external read-only buffer (an mmapped snapshot — the table's
@@ -292,30 +338,20 @@ struct FilterQuery {
     bool at_most = false;  ///< kCoreAtMost; else kCoreAtLeast
     double bound = 0.0;
   };
-  /// One registered custom filter, optionally with a declared ACCEPT
-  /// prefilter: a PredicateAtom conjunction such that any row where
-  /// every referenced property resolves (binding column, metric column,
-  /// or session binding) and every atom holds is guaranteed compliant.
-  /// Such rows skip the lambda (kPrefilterSkip); all other rows —
-  /// including every row when pass_when is null or unresolvable — run
-  /// the lambda exactly as before, so a conservative (or wrong-shaped)
-  /// prefilter can only cost speed, never candidates.
-  struct Custom {
-    const CoreFilter* filter = nullptr;
-    const std::vector<PredicateAtom>* pass_when = nullptr;
-  };
-
   const Bindings* bound = nullptr;       ///< session bindings snapshot
   std::vector<Equality> decided;         ///< step 1: core-filtering decisions
   std::vector<Equality> require_equal;   ///< step 2: kCoreEquals requirements
   std::vector<MetricBound> require_metric;  ///< step 2: kCoreAtMost/AtLeast
-  std::vector<Custom> custom;               ///< step 2: registered filters
+  std::vector<const CoreFilter*> custom;    ///< step 2: registered filters
 };
 
 /// Runs the filter; returns surviving cores in table row order (the
 /// legacy scan order). Counts kComplianceCheck once per row and
 /// kConstraintEvaluated per (row, predicate) actually reached, exactly
-/// like the legacy loop.
+/// like the legacy loop. Each custom filter is called once per distinct
+/// key of its declared columns among the alive rows, in order of each
+/// key's first alive row (so a throwing filter throws at the same row
+/// as a per-row scan would); kFilterCall counts the calls.
 std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const FilterQuery& query,
                                          telemetry::Telemetry& telemetry);
 

@@ -423,16 +423,6 @@ std::vector<std::pair<std::string, std::string>> ExplorationSession::reassessmen
   return out;
 }
 
-void ExplorationSession::declare_prefilter(const std::string& name,
-                                           std::vector<PredicateAtom> pass_when) {
-  if (pass_when.empty()) {
-    prefilters_.erase(name);
-  } else {
-    prefilters_[name] = std::move(pass_when);
-  }
-  touch();  // engine path changed; memoized candidates must recompute
-}
-
 const std::vector<const Core*>& ExplorationSession::candidates() const {
   if (cache_enabled_ && candidates_generation_ == generation_) {
     telemetry_.emit(EventKind::kCacheHit, "candidates");
@@ -477,7 +467,8 @@ std::vector<const Core*> ExplorationSession::compute_candidates_legacy() const {
     for (const auto& [name, entry] : entries_) {
       if (!entry.is_requirement || entry.value.empty()) continue;
       if (const auto* filter = layer_->core_filter(name)) {
-        if (!(*filter)(core, bound)) return false;
+        telemetry_.count(EventKind::kFilterCall);
+        if (!filter->accepts(FilterView(core, filter->reads), bound)) return false;
         continue;
       }
       const Property* p = current_->find_property(name);
@@ -547,12 +538,7 @@ std::vector<const Core*> ExplorationSession::compute_candidates_columnar() const
       query.decided.push_back(std::move(eq));
     } else if (entry.is_requirement) {
       if (const auto* filter = layer_->core_filter(name)) {
-        FilterQuery::Custom custom;
-        custom.filter = filter;
-        if (const auto pf = prefilters_.find(name); pf != prefilters_.end() && !pf->second.empty()) {
-          custom.pass_when = &pf->second;
-        }
-        query.custom.push_back(custom);
+        query.custom.push_back(filter);
         continue;
       }
       const Property* p = current_->find_property(name);

@@ -301,12 +301,11 @@ const std::string* DesignSpaceLayer::operator_class(behavior::OpKind kind) const
 }
 
 void DesignSpaceLayer::set_core_filter(const std::string& requirement, CoreFilter filter) {
-  DSLAYER_REQUIRE(filter != nullptr, "core filter must not be null");
+  DSLAYER_REQUIRE(filter.accepts != nullptr, "core filter must not be null");
   core_filters_[requirement] = std::move(filter);
 }
 
-const DesignSpaceLayer::CoreFilter* DesignSpaceLayer::core_filter(
-    const std::string& requirement) const {
+const CoreFilter* DesignSpaceLayer::core_filter(const std::string& requirement) const {
   const auto it = core_filters_.find(requirement);
   return it == core_filters_.end() ? nullptr : &it->second;
 }

@@ -57,12 +57,6 @@ struct ConstraintIndex {
 
 class DesignSpaceLayer {
  public:
-  /// Compliance predicate for one requirement: does `core` satisfy the
-  /// requirement given the full session bindings? Registered by domain
-  /// layers for rules too rich for the declarative Compliance enum (e.g.
-  /// "latency of a composed multiplier at the required EOL").
-  using CoreFilter = std::function<bool(const Core&, const Bindings&)>;
-
   /// Builds the estimation input for a behavioral description from the
   /// session bindings (maps option strings to technology models etc.).
   using ContextBuilder =

@@ -115,6 +115,7 @@ std::string encode_domain(const ValueDomain& d) {
       return cat("real:", bound(d.real_lo()), ":", bound(d.real_hi()));
     }
     case ValueDomain::Kind::kIntegerSet: {
+      if (d.integer_max() != 0) return cat("int:positive:", d.integer_max());
       if (d.describe() == kPositiveDesc) return "int:positive";
       if (d.describe() == kPow2Desc) return "int:pow2";
       return cat("int:custom:", d.describe());
@@ -139,6 +140,9 @@ ValueDomain decode_domain(const std::string& s, std::size_t line_no,
     return ValueDomain::real_range(bound(parts[0]), bound(parts[1]));
   }
   if (s == "int:positive") return ValueDomain::positive_integers();
+  if (starts_with(s, "int:positive:")) {
+    return ValueDomain::positive_integers(std::stoll(s.substr(13)));
+  }
   if (s == "int:pow2") return ValueDomain::powers_of_two();
   if (starts_with(s, "int:custom:")) {
     warnings.push_back(cat("line ", line_no, ": custom integer domain '", s.substr(11),

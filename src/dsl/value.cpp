@@ -73,6 +73,14 @@ ValueDomain ValueDomain::positive_integers() {
   return integer_set([](std::int64_t v) { return v >= 1; }, "{ i | i in Z+ }");
 }
 
+ValueDomain ValueDomain::positive_integers(std::int64_t max) {
+  DSLAYER_REQUIRE(max >= 1, "empty positive-integer domain");
+  ValueDomain d = integer_set([max](std::int64_t v) { return v >= 1 && v <= max; },
+                              cat("{ i | i in Z+, i <= ", max, " }"));
+  d.int_max_ = max;
+  return d;
+}
+
 ValueDomain ValueDomain::powers_of_two() {
   return integer_set([](std::int64_t v) { return v >= 1 && (v & (v - 1)) == 0; },
                      "{ 2^i | i in Z, i >= 0 }");

@@ -73,6 +73,10 @@ class ValueDomain {
   /// Convenience: all positive integers.
   static ValueDomain positive_integers();
 
+  /// Convenience: positive integers up to `max` (a modelled maximum, so
+  /// downstream models never see values they cannot represent).
+  static ValueDomain positive_integers(std::int64_t max);
+
   /// Convenience: positive powers of two (Req1's { 2^i }).
   static ValueDomain powers_of_two();
 
@@ -91,6 +95,9 @@ class ValueDomain {
   double real_lo() const;
   double real_hi() const;
 
+  /// The bound of a positive_integers(max) domain; 0 for any other.
+  std::int64_t integer_max() const { return int_max_; }
+
   /// True if `option` is one of the enumerated options (case-sensitive).
   bool has_option(const std::string& option) const;
 
@@ -107,6 +114,7 @@ class ValueDomain {
   double hi_ = 0.0;
   std::function<bool(std::int64_t)> predicate_;
   std::string description_;
+  std::int64_t int_max_ = 0;
 };
 
 }  // namespace dslayer::dsl

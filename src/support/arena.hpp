@@ -2,7 +2,7 @@
 //
 // Every columnar filter sweep needs short-lived arrays whose sizes depend
 // on the query: the survivor bitmask, resolved predicate terms and ops,
-// vector-lane descriptors, and prefilter residual masks. Allocating them
+// vector-lane descriptors, and custom-filter key tables. Allocating them
 // from the general heap put malloc/free on the hot path once per sweep —
 // at service rates that is thousands of allocator round-trips per second
 // for memory with a strictly stack-like lifetime.
@@ -24,10 +24,11 @@
 // chunks out, and workers only read it.
 //
 // Footprint: a thread's arena keeps its high-water capacity until the
-// thread exits (a 1M-row sweep's scratch is ~a few hundred KiB). That
-// bound is part of the bench's bytes_per_core budget story: scratch is
-// O(rows/64) words plus O(predicates) descriptors, never O(rows) boxed
-// values.
+// thread exits (a 1M-row declarative sweep's scratch is ~a few hundred
+// KiB; a custom core filter adds ~16 MiB). That bound is part of the
+// bench's bytes_per_core budget story: scratch is O(rows/64) words plus
+// O(predicates) descriptors plus, for a custom core filter, up to 16
+// bytes per row of key hashes and groups; never O(rows) boxed values.
 #pragma once
 
 #include <cstddef>

@@ -65,7 +65,7 @@ enum class EventKind : std::uint8_t {
   kIndexRebuild,         ///< subject = which index was (re)built
   kQueryTimed,           ///< subject = query kind, duration_us = wall time
   kOverlayWrite,         ///< counted only (hot path) — per-core binding-overlay map writes
-  kPrefilterSkip,        ///< counted only (hot path) — rows a declared prefilter spared the lambda
+  kFilterCall,           ///< counted only (hot path) — custom core filter invocations
 };
 
 inline constexpr std::size_t kEventKindCount = 15;

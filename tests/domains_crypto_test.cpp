@@ -229,6 +229,21 @@ TEST_F(CryptoLayerTest, FullWalkthroughNarrowsToUsableCores) {
   EXPECT_LT(range->min, range->max);
 }
 
+TEST_F(CryptoLayerTest, OperandLengthStopsAtTheModelledMaximum) {
+  // The filters and estimators take the operand length as `unsigned`: at
+  // 2^32 + 768 it wrapped to 768, at 2^32 to 0, and at 2e7 bits the
+  // latency model stalled a sweep. Req1's domain now refuses all three.
+  ExplorationSession s(*layer_, kPathOMM);
+  for (const double eol : {4294968064.0, 4294967296.0, 20000000.0, 65537.0}) {
+    EXPECT_THROW(s.set_requirement(kEOL, eol), ExplorationError) << eol;
+  }
+  EXPECT_FALSE(s.value_of(kEOL).has_value());
+  s.set_requirement(kEOL, 65536.0);
+  s.set_requirement(kLatencyBound, 8.0);
+  s.decide(kImplStyle, "Hardware");
+  EXPECT_TRUE(s.candidates().empty());  // nothing multiplies 64k bits in 8 us
+}
+
 TEST_F(CryptoLayerTest, TechnologyDecisionsFilterCores) {
   ExplorationSession s(*layer_, kPathOMMHM);
   s.set_requirement(kEOL, 768.0);

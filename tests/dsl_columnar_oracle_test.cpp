@@ -10,15 +10,18 @@
 // Coverage deliberately spans every engine path: interned-text equality
 // columns, numeric columns, mixed-kind (boxed) columns, missing bindings and
 // metrics, declarative compliance (at-least / at-most / equals), custom
-// per-core filters, compiled predicate programs, the opaque-lambda overlay
-// fallback, session-only property resolution, and plan invalidation after
-// index_cores() / add_constraint().
+// filters evaluated once per distinct key, compiled predicate programs, the
+// opaque-lambda overlay fallback, session-only property resolution, and plan
+// invalidation after index_cores() / add_constraint().
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -38,6 +41,8 @@ using dsl::ConsistencyConstraint;
 using dsl::Core;
 using dsl::DesignSpaceLayer;
 using dsl::ExplorationSession;
+using dsl::FilterRead;
+using dsl::FilterView;
 using dsl::PredicateAtom;
 using dsl::Property;
 using dsl::PropertyPath;
@@ -115,8 +120,9 @@ struct Twin {
 
 /// A layer whose cores randomly mix kinds, drop bindings, and skip metrics —
 /// the shapes the columnar presence bitmaps and kMixed columns exist for.
-/// Filtering exercises declarative compliance (>=, <=, ==), a custom core
-/// filter (Cert), compiled predicates (D1, D2), and an opaque lambda (O1).
+/// Filtering exercises declarative compliance (>=, <=, ==), custom core
+/// filters keyed by a metric (Cert) and by bindings of every column kind
+/// (Fit), compiled predicates (D1, D2), and an opaque lambda (O1).
 std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_count) {
   auto layer = std::make_unique<DesignSpaceLayer>("oracle");
   Cdo& node = layer->space().add_root("Node");
@@ -129,6 +135,7 @@ std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_c
           .with_compliance(Compliance::kCoreEquals));
   node.add_property(Property::requirement("Cert", ValueDomain::options({"gold", "silver"}), ""));
   node.add_property(Property::requirement("Mode", ValueDomain::options({"strict", "lax"}), ""));
+  node.add_property(Property::requirement("Fit", ValueDomain::options({"narrow", "wide"}), ""));
   node.add_property(Property::design_issue("Tech", ValueDomain::options({"t1", "t2", "t3"}), ""));
   node.add_property(Property::design_issue("Width", ValueDomain::powers_of_two(), ""));
   node.add_property(Property::design_issue("Grade", ValueDomain::any(), ""));
@@ -154,12 +161,36 @@ std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_c
         return grade.kind() == Value::Kind::kNumber && grade.as_number() > 5.0 &&
                dsl::get_or_empty(b, "Tech").as_text() != "t2";
       }));
-  // Custom per-core filter: gold certification demands a score of 50+.
-  layer->set_core_filter("Cert", [](const Core& core, const Bindings& bindings) {
-    const double floor = dsl::get_or_empty(bindings, "Cert").as_text() == "gold" ? 50.0 : 10.0;
-    const auto score = core.metric("score");
-    return score.has_value() && *score >= floor;
-  });
+  // Custom filter keyed by a metric: gold certification demands a score
+  // of 50+. The jittered scores make nearly every row its own key.
+  layer->set_core_filter("Cert", {{FilterRead::metric("score")},
+                                  [](const FilterView& core, const Bindings& bindings) {
+                                    const double floor =
+                                        dsl::get_or_empty(bindings, "Cert").as_text() == "gold"
+                                            ? 50.0
+                                            : 10.0;
+                                    const auto score = core.metric("score");
+                                    return score.has_value() && *score >= floor;
+                                  }});
+  // Custom filter keyed by a text, a number and a mixed-kind binding:
+  // at most 4 x 5 x 15 keys. Narrow fits reject wide or high-grade cores
+  // (strict mode also rejects cores without a Tech); wide fits need a
+  // known Width.
+  layer->set_core_filter(
+      "Fit", {{FilterRead::binding("Tech"), FilterRead::binding("Width"),
+               FilterRead::binding("Grade")},
+              [](const FilterView& core, const Bindings& bindings) {
+                const Value* width = core.binding("Width");
+                if (dsl::get_or_empty(bindings, "Fit").as_text() == "wide") return width != nullptr;
+                const Value* grade = core.binding("Grade");
+                if (width != nullptr && width->as_number() > 16.0) return false;
+                if (grade != nullptr && grade->kind() == Value::Kind::kNumber &&
+                    grade->as_number() > 7.0) {
+                  return false;
+                }
+                return core.binding("Tech") != nullptr ||
+                       dsl::get_or_empty(bindings, "Mode") != Value::text("strict");
+              }});
 
   Rng rng(seed);
   ReuseLibrary& lib = layer->add_library("cores");
@@ -183,7 +214,10 @@ std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_c
     } else if (rng.next_bool(0.4)) {
       c.bind("Coding", Value::number(1.0));
     }
-    if (rng.next_bool(0.85)) c.set_metric("score", static_cast<double>(rng.next_below(100)));
+    // Jitter below 0.1 keeps every integer-bound comparison's outcome.
+    if (rng.next_bool(0.85)) {
+      c.set_metric("score", static_cast<double>(rng.next_below(100)) + 0.001 * (i % 97));
+    }
     if (rng.next_bool(0.85)) c.set_metric("cost", static_cast<double>(rng.next_below(100)));
     lib.add(std::move(c));
   }
@@ -619,94 +653,304 @@ INSTANTIATE_TEST_SUITE_P(Kernels, ForcedKernelOracle,
                          ::testing::Combine(::testing::Values(0, 1), ::testing::Range(1u, 4u)));
 
 // ---------------------------------------------------------------------------
-// Prefilter oracle: a declared pass_when conjunction must change nothing but
-// the amount of lambda work.
+// Grouped custom-filter oracle: the columnar engine calls each custom filter
+// once per distinct key of its declared reads among the alive rows; the
+// legacy scan calls it once per row. Verdicts, survivors and counters must
+// not notice the difference.
 // ---------------------------------------------------------------------------
 
-TEST(ColumnarOracle, PrefilterMatchesFullLambdaAndSkipsRows) {
-  auto layer = oracle_layer(5, 500);
-  // The Cert filter keeps cores with score >= 50 (gold) / >= 10 (silver):
-  // "score >= 50" is a sound ACCEPT prefilter for either floor. It resolves
-  // through the metric column — a prefilter-only power.
-  Twin twin(*layer, "Node");
-  twin.columnar.declare_prefilter("Cert",
-                                  {PredicateAtom::compares("score", Cmp::kGe, 50.0)});
-  ExplorationSession plain(*layer, "Node");  // columnar, no declaration
-  plain.set_columnar(true);
-
-  const auto drive = [](ExplorationSession& s) {
-    s.set_requirement("Cert", "gold");
-    s.set_requirement("MaxCost", 70.0);
-  };
-  twin.apply([&](ExplorationSession& s) { drive(s); });
-  drive(plain);
-
-  twin.expect_candidates_agree();  // prefiltered columnar == legacy
-  EXPECT_EQ(twin.columnar.candidates(), plain.candidates());
-  twin.expect_counters_agree();  // ConstraintEvaluated / ComplianceCheck untouched
-
-  // The declaration must actually spare lambda rows on the columnar side,
-  // and be invisible to the legacy engine and undeclared sessions.
-  EXPECT_GT(twin.columnar.telemetry().count_of(telemetry::EventKind::kPrefilterSkip), 0u);
-  EXPECT_EQ(twin.legacy.telemetry().count_of(telemetry::EventKind::kPrefilterSkip), 0u);
-  EXPECT_EQ(plain.telemetry().count_of(telemetry::EventKind::kPrefilterSkip), 0u);
+/// One row's key under `reads`, rendered independently of the engine's
+/// column encoding: per read, absent or kind + exact payload.
+std::string key_of(const Core& core, const std::vector<FilterRead>& reads) {
+  std::string key;
+  for (const FilterRead& read : reads) {
+    if (read.source == FilterRead::Source::kMetric) {
+      const auto metric = core.metric(read.name);
+      key += metric.has_value() ? "m" + std::to_string(std::bit_cast<std::uint64_t>(*metric)) : "-";
+    } else {
+      const auto binding = core.binding(read.name);
+      if (!binding.has_value()) {
+        key += "-";
+      } else if (binding->kind() == Value::Kind::kNumber) {
+        key += "n" + std::to_string(std::bit_cast<std::uint64_t>(binding->as_number()));
+      } else {
+        key += "t" + binding->as_text();
+      }
+    }
+    key += '|';
+  }
+  return key;
 }
 
-TEST(ColumnarOracle, UnresolvablePrefilterFallsBackToTheLambda) {
-  auto layer = oracle_layer(6, 300);
+TEST_P(ForcedKernelOracle, GroupedFilterWalkAgrees) {
+  const unsigned seed = std::get<1>(GetParam());
+  auto layer = oracle_layer(seed * 7907 + 5, 333);
   Twin twin(*layer, "Node");
-  // References a property no column, metric, or binding answers: the
-  // prefilter must disable itself and the lambda must run everywhere.
-  twin.columnar.declare_prefilter(
-      "Cert", {PredicateAtom::compares("NoSuchProperty", Cmp::kGe, 1.0)});
-  twin.apply([](ExplorationSession& s) {
-    s.set_requirement("Cert", "silver");
-    s.set_requirement("MinScore", 20.0);
-  });
+  twin.columnar.reset_query_stats();
+  twin.legacy.reset_query_stats();
+  Rng rng(seed * 43 + 1);
+  for (int step = 0; step < 30; ++step) {
+    switch (rng.next_below(5)) {
+      case 0: {  // the high-cardinality (metric) key
+        const char* cert = rng.next_bool() ? "gold" : "silver";
+        twin.apply([&](ExplorationSession& s) { s.set_requirement("Cert", cert); });
+        break;
+      }
+      case 1: {  // the low-cardinality (binding) key
+        const char* fit = rng.next_bool() ? "narrow" : "wide";
+        twin.apply([&](ExplorationSession& s) { s.set_requirement("Fit", fit); });
+        break;
+      }
+      case 2: {
+        const char* mode = rng.next_bool() ? "strict" : "lax";
+        twin.apply([&](ExplorationSession& s) { s.set_requirement("Mode", mode); });
+        break;
+      }
+      case 3: {
+        const char* techs[] = {"t1", "t2", "t3"};
+        const char* tech = techs[rng.next_below(3)];
+        twin.apply([&](ExplorationSession& s) { s.decide("Tech", tech); });
+        break;
+      }
+      default: {
+        const char* names[] = {"Cert", "Fit", "Mode", "Tech"};
+        const char* name = names[rng.next_below(4)];
+        twin.apply([&](ExplorationSession& s) {
+          if (s.value_of(name).has_value()) s.retract(name);
+        });
+        break;
+      }
+    }
+    twin.expect_candidates_agree();
+  }
+  twin.expect_counters_agree();
+}
+
+TEST_P(ForcedKernelOracle, GroupedFilterChunkParallelAgrees) {
+  // 5000 rows span three 2048-row chunks: with the threshold lowered, the
+  // key hashing and checking run on the shared ChunkPool.
+  struct ThresholdGuard {
+    std::size_t saved = dsl::columnar_parallel_threshold();
+    ~ThresholdGuard() { dsl::set_columnar_parallel_threshold(saved); }
+  } guard;
+  dsl::set_columnar_parallel_threshold(64);
+  auto layer = oracle_layer(std::get<1>(GetParam()) * 389 + 4, 5000);
+  Twin twin(*layer, "Node");
+  twin.columnar.reset_query_stats();
+  twin.legacy.reset_query_stats();
+  twin.apply([](ExplorationSession& s) { s.set_requirement("Fit", "narrow"); });
+  twin.expect_candidates_agree();
+  twin.apply([](ExplorationSession& s) { s.set_requirement("Cert", "gold"); });
+  twin.expect_candidates_agree();
+  twin.apply([](ExplorationSession& s) { s.decide("Tech", "t2"); });
   twin.expect_candidates_agree();
   twin.expect_counters_agree();
-  EXPECT_EQ(twin.columnar.telemetry().count_of(telemetry::EventKind::kPrefilterSkip), 0u);
-
-  // Clearing the declaration restores the undeclared path.
-  twin.columnar.declare_prefilter("Cert", {});
-  twin.apply([](ExplorationSession& s) { s.set_requirement("MaxCost", 90.0); });
-  twin.expect_candidates_agree();
 }
 
-TEST(ColumnarOracle, PrefilterFuzzWalkAgrees) {
-  for (unsigned seed = 1; seed <= 4; ++seed) {
-    auto layer = oracle_layer(seed * 2711 + 9, 400);
-    Twin twin(*layer, "Node");
-    twin.columnar.declare_prefilter("Cert",
-                                    {PredicateAtom::compares("score", Cmp::kGe, 50.0)});
-    twin.columnar.reset_query_stats();
-    twin.legacy.reset_query_stats();
-    Rng rng(seed * 17 + 5);
-    twin.apply([](ExplorationSession& s) { s.set_requirement("Cert", "gold"); });
-    for (int step = 0; step < 20; ++step) {
-      switch (rng.next_below(3)) {
-        case 0: {
-          const char* name = rng.next_bool() ? "MinScore" : "MaxCost";
-          const double value = static_cast<double>(rng.next_below(101));
-          twin.apply([&](ExplorationSession& s) { s.set_requirement(name, value); });
-          break;
-        }
-        case 1: {
-          const char* certs[] = {"gold", "silver"};
-          const char* cert = certs[rng.next_below(2)];
-          twin.apply([&](ExplorationSession& s) { s.set_requirement("Cert", cert); });
-          break;
-        }
-        default: {
-          const double widths[] = {8, 16, 32, 64};
-          const double width = widths[rng.next_below(4)];
-          twin.apply([&](ExplorationSession& s) { s.decide("Width", Value::number(width)); });
-          break;
-        }
+TEST_P(ForcedKernelOracle, FilterCallsCountDistinctAliveKeys) {
+  const unsigned seed = std::get<1>(GetParam());
+  auto layer = oracle_layer(seed * 613 + 2, 300);
+  const auto& cores = layer->cores_under(*layer->space().find("Node"));
+  for (const char* requirement : {"Cert", "Fit"}) {
+    const std::vector<FilterRead>& reads = layer->core_filter(requirement)->reads;
+    for (const char* tech : {"", "t1", "t2"}) {
+      // The decided Tech (if any) is the only step before the filter, so
+      // the alive rows are the cores binding that Tech.
+      std::set<std::string> keys;
+      std::uint64_t alive = 0;
+      for (const Core* core : cores) {
+        if (*tech != '\0' && core->binding("Tech") != Value::text(tech)) continue;
+        ++alive;
+        keys.insert(key_of(*core, reads));
       }
+      Twin twin(*layer, "Node");
+      twin.apply([&](ExplorationSession& s) {
+        if (*tech != '\0') s.decide("Tech", tech);
+        s.set_requirement(requirement, requirement == std::string("Cert") ? "gold" : "narrow");
+      });
+      twin.columnar.reset_query_stats();
+      twin.legacy.reset_query_stats();
       twin.expect_candidates_agree();
+      const auto calls = [](const ExplorationSession& s) {
+        return s.telemetry().count_of(telemetry::EventKind::kFilterCall);
+      };
+      EXPECT_EQ(calls(twin.columnar), keys.size()) << requirement << " tech=" << tech;
+      EXPECT_EQ(calls(twin.legacy), alive) << requirement << " tech=" << tech;
+      if (requirement == std::string("Fit")) {
+        EXPECT_LT(keys.size(), alive) << "Fit keys repeat across rows";
+      }
     }
-    twin.expect_counters_agree();
+  }
+}
+
+TEST_P(ForcedKernelOracle, HashCollidingKeysStayApart) {
+  // Rows (a1, b1) and (a2, b2) have different keys but equal key hashes:
+  // b2 is solved against the engine's key hash (key_hash and
+  // kKeyHashSeed in core_table.cpp, folding cells with the present-number
+  // tag 2). The columnar engine must notice the collision and fall back
+  // to calling the filter on every alive row, keeping the verdicts apart.
+  // If the hash changes, mirror it in `fold`, or this test stops forcing
+  // a collision.
+  const auto fold = [](std::uint64_t h, double value) {
+    const std::uint64_t x = (h ^ std::bit_cast<std::uint64_t>(value)) * 0xff51afd7ed558ccdull + 2;
+    return x ^ (x >> 29);
+  };
+  const std::uint64_t seed = 0x9e3779b97f4a7c15ull;
+  const double a1 = 1.0;
+  const double b1 = 2.0;
+  double a2 = 3.0;
+  double b2 = 0.0;
+  for (;; a2 += 1.0) {  // b2 must be a plain number to be stored as one
+    b2 = std::bit_cast<double>(fold(seed, a1) ^ std::bit_cast<std::uint64_t>(b1) ^ fold(seed, a2));
+    if (std::isnormal(b2)) break;
+  }
+  ASSERT_EQ(fold(fold(seed, a1), b1), fold(fold(seed, a2), b2));
+
+  auto layer = std::make_unique<DesignSpaceLayer>("collide");
+  Cdo& node = layer->space().add_root("Node");
+  node.add_property(Property::requirement("Pick", ValueDomain::options({"on"}), ""));
+  layer->set_core_filter("Pick", {{FilterRead::binding("A"), FilterRead::binding("B")},
+                                  [](const FilterView& core, const Bindings&) {
+                                    return *core.binding("B") == Value::number(2.0);
+                                  }});
+  ReuseLibrary& lib = layer->add_library("cores");
+  for (int i = 0; i < 6; ++i) {
+    Core c("c" + std::to_string(i), "Node");
+    c.bind("A", Value::number(i % 2 == 0 ? a1 : a2)).bind("B", Value::number(i % 2 == 0 ? b1 : b2));
+    lib.add(std::move(c));
+  }
+  layer->index_cores();
+
+  Twin twin(*layer, "Node");
+  twin.apply([](ExplorationSession& s) { s.set_requirement("Pick", "on"); });
+  twin.columnar.reset_query_stats();
+  twin.expect_candidates_agree();
+  ASSERT_EQ(twin.columnar.candidates().size(), 3u);
+  for (const Core* core : twin.columnar.candidates()) {
+    EXPECT_EQ(core->binding("A"), Value::number(a1));
+  }
+  EXPECT_EQ(twin.columnar.telemetry().count_of(telemetry::EventKind::kFilterCall), 6u);
+}
+
+TEST_P(ForcedKernelOracle, KeysSplitOnPresenceKindAndBitsInRowOrder) {
+  // N is a number column: absent, 0.0, and -0.0 (equal to 0.0, other
+  // bits). M is a mixed-kind column: the number 1 or the text "1". Each
+  // combination is its own key, and the columnar engine calls the filter
+  // in order of each key's first row.
+  std::vector<std::string> seen;
+  auto layer = std::make_unique<DesignSpaceLayer>("keys");
+  Cdo& node = layer->space().add_root("Node");
+  node.add_property(Property::requirement("Probe", ValueDomain::options({"on"}), ""));
+  const auto show = [](const Value* v) {
+    if (v == nullptr) return std::string("absent");
+    if (v->kind() == Value::Kind::kText) return "text " + v->as_text();
+    return (std::signbit(v->as_number()) ? "-" : "+") + v->to_string();
+  };
+  layer->set_core_filter(
+      "Probe", {{FilterRead::binding("N"), FilterRead::binding("M")},
+                [&](const FilterView& core, const Bindings&) {
+                  const Value* n = core.binding("N");
+                  const Value* m = core.binding("M");
+                  seen.push_back(show(n) + "/" + show(m));
+                  return n != nullptr && !std::signbit(n->as_number()) &&
+                         m->kind() == Value::Kind::kNumber;
+                }});
+  const std::vector<Value> ns = {Value::number(0.0), Value{}, Value::number(-0.0),
+                                 Value::number(0.0), Value::number(0.0), Value{},
+                                 Value::number(-0.0)};
+  ReuseLibrary& lib = layer->add_library("cores");
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    Core c("c" + std::to_string(i), "Node");
+    if (!ns[i].empty()) c.bind("N", ns[i]);
+    c.bind("M", i == 4 ? Value::text("1") : Value::number(1.0));
+    lib.add(std::move(c));
+  }
+  layer->index_cores();
+
+  ExplorationSession columnar(*layer, "Node");
+  columnar.set_columnar(true);
+  columnar.set_requirement("Probe", "on");
+  ASSERT_EQ(columnar.candidates().size(), 2u);
+  EXPECT_EQ(columnar.candidates()[0]->name(), "c0");
+  EXPECT_EQ(columnar.candidates()[1]->name(), "c3");
+  const Value one = Value::number(1.0);
+  const Value text_one = Value::text("1");
+  EXPECT_EQ(seen, (std::vector<std::string>{show(&ns[0]) + "/" + show(&one),
+                                            "absent/" + show(&one),
+                                            show(&ns[2]) + "/" + show(&one),
+                                            show(&ns[4]) + "/" + show(&text_one)}));
+
+  seen.clear();
+  ExplorationSession legacy(*layer, "Node");
+  legacy.set_columnar(false);
+  legacy.set_requirement("Probe", "on");
+  EXPECT_EQ(legacy.candidates(), columnar.candidates());
+  EXPECT_EQ(seen.size(), ns.size());
+}
+
+/// A one-property layer whose "Peek" filter declares Tech but reads Width.
+std::unique_ptr<DesignSpaceLayer> peek_layer() {
+  auto layer = std::make_unique<DesignSpaceLayer>("peek");
+  Cdo& node = layer->space().add_root("Node");
+  node.add_property(Property::requirement("Peek", ValueDomain::options({"on"}), ""));
+  layer->set_core_filter("Peek", {{FilterRead::binding("Tech")},
+                                  [](const FilterView& core, const Bindings&) {
+                                    return core.binding("Width") == nullptr;
+                                  }});
+  ReuseLibrary& lib = layer->add_library("cores");
+  for (int i = 0; i < 70; ++i) {
+    Core c("c" + std::to_string(i), "Node");
+    c.bind("Tech", Value::text(i % 2 == 0 ? "t1" : "t2")).bind("Width", Value::number(8.0));
+    lib.add(std::move(c));
+  }
+  layer->index_cores();
+  return layer;
+}
+
+/// Runs candidates() on both engines; both must throw E with equal text.
+template <typename E>
+void expect_same_throw(Twin& twin) {
+  std::string what[2];
+  ExplorationSession* sessions[2] = {&twin.columnar, &twin.legacy};
+  for (int i = 0; i < 2; ++i) {
+    try {
+      (void)sessions[i]->candidates();
+      ADD_FAILURE() << (i == 0 ? "columnar" : "legacy") << " engine did not throw";
+    } catch (const E& e) {
+      what[i] = e.what();
+    }
+  }
+  EXPECT_FALSE(what[0].empty());
+  EXPECT_EQ(what[0], what[1]);
+}
+
+TEST_P(ForcedKernelOracle, UndeclaredReadFailsInBothEngines) {
+  auto layer = peek_layer();
+  Twin twin(*layer, "Node");
+  twin.apply([](ExplorationSession& s) { s.set_requirement("Peek", "on"); });
+  expect_same_throw<DefinitionError>(twin);
+}
+
+TEST_P(ForcedKernelOracle, ThrowingFilterGivesSameErrorInBothEngines) {
+  // A hardware core without a Radix binding: the crypto latency filter
+  // cannot rebuild its slice and must say which property is missing.
+  auto layer = domains::build_crypto_layer();
+  Core broken("broken_slice", domains::kPathOMM);
+  broken.bind(domains::kImplStyle, Value::text("Hardware"))
+      .bind(domains::kAlgorithm, Value::text("Montgomery"));
+  layer->add_library("broken").add(std::move(broken));
+  layer->index_cores();
+  Twin twin(*layer, domains::kPathOMM);
+  twin.apply([](ExplorationSession& s) {
+    s.set_requirement(domains::kEOL, 768.0);
+    s.set_requirement(domains::kLatencyBound, 8.0);
+  });
+  expect_same_throw<PreconditionError>(twin);
+  try {
+    (void)twin.columnar.candidates();
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("'Radix'"), std::string::npos) << e.what();
+    EXPECT_EQ(std::string(e.what()).find("broken_slice"), std::string::npos) << e.what();
   }
 }
 

@@ -159,8 +159,35 @@ TEST(Layer, ValidateCleanOnWellFormed) {
 TEST(Layer, CoreFilterRegistry) {
   auto layer = make_layer();
   EXPECT_EQ(layer->core_filter("Latency"), nullptr);
-  layer->set_core_filter("Latency", [](const Core&, const Bindings&) { return true; });
-  ASSERT_NE(layer->core_filter("Latency"), nullptr);
+  layer->set_core_filter("Latency", {{FilterRead::binding("Speed")},
+                                     [](const FilterView& core, const Bindings&) {
+                                       return core.binding("Speed") != nullptr;
+                                     }});
+  const auto* filter = layer->core_filter("Latency");
+  ASSERT_NE(filter, nullptr);
+  ASSERT_EQ(filter->reads.size(), 1u);
+  EXPECT_EQ(filter->reads[0].name, "Speed");
+  EXPECT_TRUE(filter->accepts(FilterView(core_with("c", {{"Speed", Value::text("Fast")}}),
+                                         filter->reads),
+                              Bindings{}));
+  EXPECT_THROW(layer->set_core_filter("Power", {}), PreconditionError);
+}
+
+TEST(Layer, FilterViewExposesOnlyDeclaredReads) {
+  Core core = core_with("c", {{"Speed", Value::text("Fast")}, {"Flavor", Value::text("X")}});
+  core.set_metric("area", 7.0);
+  const std::vector<FilterRead> reads = {FilterRead::binding("Speed"),
+                                         FilterRead::binding("Unbound"),
+                                         FilterRead::metric("area")};
+  const FilterView view(core, reads);
+  ASSERT_NE(view.binding("Speed"), nullptr);
+  EXPECT_EQ(*view.binding("Speed"), Value::text("Fast"));
+  EXPECT_EQ(view.binding("Unbound"), nullptr);  // declared, not bound: absent
+  EXPECT_EQ(view.metric("area"), 7.0);
+  // Bound on the core but undeclared, or declared as the other source.
+  EXPECT_THROW(view.binding("Flavor"), DefinitionError);
+  EXPECT_THROW(view.binding("area"), DefinitionError);
+  EXPECT_THROW(view.metric("Speed"), DefinitionError);
 }
 
 TEST(Layer, DefaultContextBuilderReadsConventionalNames) {

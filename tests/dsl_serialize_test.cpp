@@ -71,6 +71,12 @@ TEST(Serialize, CryptoLayerRoundTrips) {
   // The NumberOfSlices divisor-style domains are well-known sets here, so
   // the only accepted degradations are custom integer domains (none).
   EXPECT_TRUE(imported.warnings.empty());
+  // Req1's bounded domain travels with its bound.
+  const Property* eol =
+      imported.layer->space().find(domains::kPathOMM)->find_property(domains::kEOL);
+  ASSERT_NE(eol, nullptr);
+  EXPECT_TRUE(eol->domain.contains(Value::number(65536.0)));
+  EXPECT_FALSE(eol->domain.contains(Value::number(65537.0)));
 }
 
 TEST(Serialize, MediaLayerRoundTrips) {
