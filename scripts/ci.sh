@@ -74,17 +74,26 @@ cmake --build build-tsan -j --target service_stress_test service_chaos_test net_
 (cd build-tsan && ctest -L tier2 --output-on-failure --timeout "$CTEST_TIMEOUT")
 
 echo "=== [6/6] benchmark telemetry (BENCH_*.json) + counter guard ==="
-./build/bench/query_cache_bench --json BENCH_query_cache.json
-./build/bench/candidate_filter --json BENCH_candidate_filter.json
-./build/bench/fig12_montgomery_tradeoffs --json BENCH_fig12_montgomery_tradeoffs.json
-./build/bench/service_throughput --json BENCH_service_throughput.json
-./build/bench/net_throughput --json BENCH_net_throughput.json \
+# Every bench and both checkers run even when an earlier one fails (a
+# wall-clock self-check tripping on a loaded host must not hide the
+# deterministic counter gate); the stage then fails, naming each failure.
+STAGE6_FAILED=()
+stage6() { "$@" || STAGE6_FAILED+=("$*"); }
+stage6 ./build/bench/query_cache_bench --json BENCH_query_cache.json
+stage6 ./build/bench/candidate_filter --json BENCH_candidate_filter.json
+stage6 ./build/bench/fig12_montgomery_tradeoffs --json BENCH_fig12_montgomery_tradeoffs.json
+stage6 ./build/bench/service_throughput --json BENCH_service_throughput.json
+stage6 ./build/bench/net_throughput --json BENCH_net_throughput.json \
   --dump-metrics BENCH_metrics_scrape.txt
-./build/bench/storage_coldstart --json BENCH_storage_coldstart.json
+stage6 ./build/bench/storage_coldstart --json BENCH_storage_coldstart.json
 # The net bench also scrapes the loaded server's `!metrics` payload;
 # validate it against the Prometheus text-format rules.
-python3 scripts/check_metrics_format.py BENCH_metrics_scrape.txt
+stage6 python3 scripts/check_metrics_format.py BENCH_metrics_scrape.txt
 # Wall-time-free regression gate: the deterministic work counters in the
 # bench JSON must match the committed baselines exactly.
-python3 scripts/check_bench_counters.py
+stage6 python3 scripts/check_bench_counters.py
+if ((${#STAGE6_FAILED[@]} > 0)); then
+  printf 'FAILED: %s\n' "${STAGE6_FAILED[@]}" >&2
+  exit 1
+fi
 echo "CI OK"

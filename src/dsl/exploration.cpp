@@ -65,10 +65,6 @@ ExplorationSession::ExplorationSession(const DesignSpaceLayer& layer,
   }
   root_ = cdo;
   current_ = cdo;
-  journal_ = std::make_shared<telemetry::JournalSink>(std::initializer_list<EventKind>{
-      EventKind::kSessionOpened, EventKind::kRequirementSet, EventKind::kDecision,
-      EventKind::kRetract, EventKind::kReaffirm});
-  telemetry_.add_sink(journal_);
   // Record the generalized options already implied by the class path as
   // structural decisions (they were "made" by choosing this class).
   for (const Cdo* c = cdo; c->parent() != nullptr; c = c->parent()) {
@@ -82,7 +78,7 @@ ExplorationSession::ExplorationSession(const DesignSpaceLayer& layer,
     }
   }
   log(cat("session opened at '", class_path, "'"));
-  telemetry_.emit(EventKind::kSessionOpened, root_->path());
+  record(EventKind::kSessionOpened, root_->path());
 }
 
 const Property& ExplorationSession::require_property(const std::string& name,
@@ -233,7 +229,7 @@ void ExplorationSession::set_requirement(const std::string& name, Value value) {
   touch();
   log(cat(revision ? "requirement revised: " : "requirement set: ", name, " = ",
           e.value.to_string()));
-  telemetry_.emit(EventKind::kRequirementSet, name, encode_value(e.value));
+  record(EventKind::kRequirementSet, name, encode_value(e.value));
   invalidate_dependents(name);
   scan_conflicts(name);
 }
@@ -264,7 +260,7 @@ void ExplorationSession::decide(const std::string& name, Value value) {
   e.is_requirement = false;
   touch();
   log(cat(revision ? "decision revised: " : "decision: ", name, " = ", value.to_string()));
-  telemetry_.emit(EventKind::kDecision, name, encode_value(value));
+  record(EventKind::kDecision, name, encode_value(value));
   invalidate_dependents(name);
   scan_conflicts(name);
 
@@ -312,7 +308,7 @@ void ExplorationSession::retract(const std::string& name) {
     }
   }
   touch();
-  telemetry_.emit(EventKind::kRetract, name);
+  record(EventKind::kRetract, name);
   invalidate_dependents(name);
 }
 
@@ -326,7 +322,7 @@ void ExplorationSession::reaffirm(const std::string& name) {
   it->second.state = State::kSet;
   touch();
   log(cat("re-affirmed: ", name, " = ", it->second.value.to_string()));
-  telemetry_.emit(EventKind::kReaffirm, name);
+  record(EventKind::kReaffirm, name);
 }
 
 ExplorationSession::State ExplorationSession::state_of(const std::string& name) const {
@@ -728,16 +724,14 @@ ExplorationSession ExplorationSession::open_operator_session(const OperatorSite&
 
 void ExplorationSession::log(std::string message) { trace_.push_back(std::move(message)); }
 
-void ExplorationSession::export_journal(std::ostream& out) const {
-  for (const telemetry::Event& event : journal()) {
-    out << telemetry::to_jsonl(event) << '\n';
-  }
-}
-
-std::string ExplorationSession::export_journal() const {
-  std::ostringstream os;
-  export_journal(os);
-  return os.str();
+void ExplorationSession::record(EventKind kind, const std::string& subject, std::string detail) {
+  telemetry::Event event;
+  event.kind = kind;
+  event.subject = subject;
+  event.detail = std::move(detail);
+  event.seq = telemetry_.emit(kind, event.subject, event.detail);
+  journal_ += telemetry::to_jsonl(event);
+  journal_ += '\n';
 }
 
 ExplorationSession ExplorationSession::replay(const DesignSpaceLayer& layer,

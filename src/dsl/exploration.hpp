@@ -22,8 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -205,15 +203,13 @@ class ExplorationSession {
   /// const session — observing a query is not a state change.
   telemetry::Telemetry& telemetry() const { return telemetry_; }
 
-  /// The replay journal: every state-mutating event (SessionOpened,
+  /// The replay journal as JSONL — the record half of record/replay:
+  /// one telemetry::to_jsonl line per state-mutating event (SessionOpened,
   /// RequirementSet, Decision, Retract, Reaffirm) since construction, in
-  /// order, unbounded.
-  const std::vector<telemetry::Event>& journal() const { return journal_->events(); }
-
-  /// Writes the replay journal as JSONL (one event per line) — the
-  /// record half of record/replay debugging.
-  void export_journal(std::ostream& out) const;
-  std::string export_journal() const;
+  /// order, unbounded. Each line is appended as its event is emitted, so
+  /// reading the journal costs nothing; the reference is valid until the
+  /// session is destroyed.
+  const std::string& export_journal() const { return journal_; }
 
   /// Rebuilds a session from a JSONL journal: the first event must be
   /// SessionOpened; RequirementSet/Decision/Retract/Reaffirm events are
@@ -263,6 +259,9 @@ class ExplorationSession {
   void scan_conflicts(const std::string& name);
   void invalidate_dependents(const std::string& name);
   void log(std::string message);
+  /// Emits one state-mutating event and appends its JSONL line to the
+  /// journal.
+  void record(telemetry::EventKind kind, const std::string& subject, std::string detail = {});
 
   /// Invalidates the memoized queries (bump after every value or scope
   /// mutation — the caches re-fill lazily).
@@ -289,11 +288,8 @@ class ExplorationSession {
   mutable std::uint64_t candidates_generation_ = 0;
   mutable std::vector<const Core*> candidates_cache_;
 
-  // Telemetry hub plus the always-attached replay journal (an unbounded
-  // JournalSink over the mutating kinds; shared_ptr because the hub owns
-  // its sinks type-erased and the session needs typed access).
   mutable telemetry::Telemetry telemetry_;
-  std::shared_ptr<telemetry::JournalSink> journal_;
+  std::string journal_;  // JSONL, see export_journal()
 };
 
 }  // namespace dslayer::dsl

@@ -195,8 +195,7 @@ class DesignSpaceLayer {
   void reset_query_stats() const { telemetry_.reset_counters(); }
 
   /// The layer's telemetry hub. Layer-side events are counter-only (the
-  /// subtree/constraint caches are hot and shared across sessions); attach
-  /// a sink here to change that.
+  /// subtree/constraint caches are hot and shared across sessions).
   telemetry::Telemetry& telemetry() const { return telemetry_; }
 
  private:

@@ -1,5 +1,6 @@
 #include "dsl/shell.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <memory>
@@ -7,6 +8,7 @@
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/failpoint.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
 
@@ -76,6 +78,11 @@ Value parse_value(const std::string& token) {
   return Value::text(token);
 }
 
+/// Events in a JSONL journal (one per line).
+std::size_t line_count(const std::string& jsonl) {
+  return static_cast<std::size_t>(std::count(jsonl.begin(), jsonl.end(), '\n'));
+}
+
 void print_tree(std::ostream& out, const DesignSpaceLayer& layer, const Cdo& cdo, int depth) {
   out << std::string(static_cast<std::size_t>(depth) * 2, ' ') << cdo.name();
   if (const Property* issue = cdo.generalized_issue()) {
@@ -93,12 +100,16 @@ ExplorationSession& ShellEngine::need_session() {
   return *session_;
 }
 
-std::string ShellEngine::journal_jsonl() const {
-  return session_ == nullptr ? std::string{} : session_->export_journal();
+const std::string& ShellEngine::journal_jsonl() const {
+  static const std::string kNoSession;
+  return session_ == nullptr ? kNoSession : session_->export_journal();
 }
 
 void ShellEngine::restore_from_journal(const std::string& jsonl) {
+  // replay() finishes reading `jsonl` before the assignment destroys the
+  // session that may own it.
   session_ = std::make_unique<ExplorationSession>(ExplorationSession::replay(*layer_, jsonl));
+  ++session_number_;
 }
 
 ShellEngine::Status ShellEngine::execute(const std::string& line, std::ostream& out) {
@@ -144,6 +155,7 @@ ShellEngine::Status ShellEngine::dispatch(const std::vector<std::string>& words,
   } else if (cmd == "open") {
     DSLAYER_REQUIRE(words.size() >= 2, "usage: open <path>");
     session_ = std::make_unique<ExplorationSession>(layer, words[1]);
+    ++session_number_;
     out << "session at " << session_->current().path() << ", "
         << session_->candidates().size() << " candidates\n";
   } else if (cmd == "req" || cmd == "decide") {
@@ -216,12 +228,20 @@ ShellEngine::Status ShellEngine::dispatch(const std::vector<std::string>& words,
   } else if (cmd == "trace" && words.size() >= 2 && words[1] == "export") {
     DSLAYER_REQUIRE(words.size() >= 3, "usage: trace export <file>");
     const std::string path = rest_from(2);
-    ExplorationSession& s = need_session();
-    // The journal travels through the pluggable JSONL sink, so a file
-    // written here is exactly what a live-attached sink would produce.
-    telemetry::JsonlFileSink sink(path);
-    for (const auto& event : s.journal()) sink.on_event(event);
-    out << "exported " << s.journal().size() << " events to " << path << "\n";
+    const std::string& journal = need_session().export_journal();
+    std::ofstream file(path);
+    if (!file.is_open()) throw ExplorationError(cat("cannot write journal '", path, "'"));
+    try {
+      DSLAYER_FAILPOINT("telemetry.jsonl_write");  // a failing device
+      file << journal;
+      file.close();
+    } catch (const FailpointError&) {
+      file.setstate(std::ios::badbit);
+    }
+    // A partial journal does not replay; the command fails rather than
+    // report an export that did not happen.
+    if (file.fail()) throw ExplorationError(cat("writing journal '", path, "' failed"));
+    out << "exported " << line_count(journal) << " events to " << path << "\n";
   } else if (cmd == "trace" && words.size() >= 2 && words[1] == "replay") {
     DSLAYER_REQUIRE(words.size() >= 3, "usage: trace replay <file>");
     const std::string path = rest_from(2);
@@ -230,7 +250,7 @@ ShellEngine::Status ShellEngine::dispatch(const std::vector<std::string>& words,
     std::ostringstream text;
     text << file.rdbuf();
     restore_from_journal(text.str());
-    out << "replayed " << session_->journal().size() << " events; scope "
+    out << "replayed " << line_count(journal_jsonl()) << " events; scope "
         << session_->current().path() << ", " << session_->candidates().size()
         << " candidates\n";
   } else if (cmd == "trace") {

@@ -13,6 +13,7 @@
 // exactly one shell command per request.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -50,14 +51,28 @@ class ShellEngine {
   /// The open session's replay journal as JSONL; empty string when no
   /// session is open. This is the service's migration substrate: a
   /// session crossing a layer epoch is rebuilt from exactly this text.
-  std::string journal_jsonl() const;
+  /// Valid until the session is replaced or closed; between those, it
+  /// only ever grows by appended lines.
+  const std::string& journal_jsonl() const;
+
+  /// Identifies the open session's journal: bumped every time the session
+  /// is replaced or closed (`open`, `trace replay`, restore_from_journal,
+  /// close_session), never 0 once a session has been opened. While it is
+  /// unchanged, journal_jsonl() only grows, so a durable copy written at
+  /// this number can be extended by appending the new suffix.
+  std::uint64_t session_number() const { return session_number_; }
 
   /// Replaces the session with one replayed from a JSONL journal. Throws
   /// ExplorationError on malformed journals or if the journaled actions
-  /// are no longer valid against the (possibly updated) layer.
+  /// are no longer valid against the (possibly updated) layer; the
+  /// current session is then left untouched. `jsonl` may be the current
+  /// session's own journal_jsonl().
   void restore_from_journal(const std::string& jsonl);
 
-  void close_session() { session_.reset(); }
+  void close_session() {
+    session_.reset();
+    ++session_number_;
+  }
 
  private:
   Status dispatch(const std::vector<std::string>& words, std::ostream& out);
@@ -65,6 +80,7 @@ class ShellEngine {
 
   const DesignSpaceLayer* layer_;
   std::unique_ptr<ExplorationSession> session_;
+  std::uint64_t session_number_ = 0;
 };
 
 /// Runs the command loop: reads commands from `in` until EOF or `quit`,

@@ -71,9 +71,8 @@ std::shared_ptr<SessionManager::Session> SessionManager::acquire(const std::stri
 
 bool SessionManager::migrate(Session& session, const std::string& name, std::ostream& out) {
   migrations_.add(1);
-  const std::string journal = session.engine.journal_jsonl();
-  session.engine.close_session();
   session.epoch = shared_->epoch();
+  const std::string& journal = session.engine.journal_jsonl();
   if (journal.empty()) return true;  // nothing to carry across the epoch
   try {
     // Replay must run to completion or not at all: a request deadline
@@ -87,6 +86,7 @@ bool SessionManager::migrate(Session& session, const std::string& name, std::ost
     // The updated layer rejects part of the journaled history (e.g. a
     // new constraint now vetoes an old decision). The session stays
     // open-able but empty; the designer re-decides against the new space.
+    session.engine.close_session();
     migration_failures_.add(1);
     out << "error: session '" << name << "' could not be migrated to layer epoch "
         << session.epoch << ": " << e.what() << "\n";
@@ -102,11 +102,10 @@ bool SessionManager::restore(Session& session, const std::string& name, std::ost
     // Same all-or-nothing rule as migrate(): the caller's deadline must
     // not expire mid-replay and leave a half-rebuilt session.
     const support::DeadlineScope no_deadline{support::Deadline{}};
+    // Replay renumbers the events, so the journal differs from the file
+    // it came from: persisted_session stays 0 and the first persist
+    // rewrites whole.
     session.engine.restore_from_journal(journal);
-    // Trust the byte count but not the on-disk prefix for appends — the
-    // first persist after a restore rewrites whole (append_safe stays
-    // false until this process writes the file itself).
-    session.persisted_bytes = journal.size();
     restored_.add(1);
     return true;
   } catch (const Error& e) {
@@ -115,7 +114,6 @@ bool SessionManager::restore(Session& session, const std::string& name, std::ost
     // next state-changing command overwrites the stale journal.
     restore_failures_.add(1);
     session.engine.close_session();
-    session.persisted_bytes = 0;
     out << "error: session '" << name << "' could not be restored from its durable journal: "
         << e.what() << "\n";
     return false;
@@ -123,26 +121,27 @@ bool SessionManager::restore(Session& session, const std::string& name, std::ost
 }
 
 void SessionManager::persist(Session& session, const std::string& name) {
-  const std::string journal = session.engine.journal_jsonl();
-  if (session.append_safe && journal.size() == session.persisted_bytes) return;  // read-only cmd
+  const std::string& journal = session.engine.journal_jsonl();
+  const std::uint64_t number = session.engine.session_number();
+  const bool extends_file = session.persisted_session == number;
+  if (extends_file && journal.size() == session.persisted_bytes) return;  // nothing appended
   try {
-    if (session.append_safe && journal.size() > session.persisted_bytes) {
+    if (extends_file) {
       options_.store->append(name,
                              std::string_view(journal).substr(session.persisted_bytes));
     } else {
-      // Shrunk (migration compaction), diverged, or not yet trusted:
-      // atomic whole-file rewrite.
+      // A replaced, replayed or closed session, or a file not written
+      // against this session: atomic whole-file rewrite.
       options_.store->save(name, journal);
     }
+    session.persisted_session = number;
     session.persisted_bytes = journal.size();
-    session.append_safe = true;
   } catch (const Error&) {
     // Durability degraded, the command itself succeeded — surfacing this
     // as a command error would make designers re-issue decisions that DID
-    // apply. Counted for alerting; append_safe drops so the next persist
-    // rewrites whole.
+    // apply. Counted for alerting; the next persist rewrites whole.
     storage::counters().session_flush_failures.add();
-    session.append_safe = false;
+    session.persisted_session = 0;
   }
 }
 

@@ -65,10 +65,10 @@ class SessionManager {
     /// sessions). With a store: a session created for a name with a
     /// persisted journal is rebuilt from it by replay before its first
     /// command; every state-changing command re-persists the journal
-    /// (append for the common one-command delta, atomic rewrite
-    /// otherwise); `quit` and close() delete it; LRU eviction keeps it —
-    /// an evicted name resumes from disk on next use. Persistence
-    /// failures never fail the command: they are counted in
+    /// (append for the common one-command delta, atomic rewrite when the
+    /// command replaced the session); `quit` and close() delete it; LRU
+    /// eviction keeps it — an evicted name resumes from disk on next use.
+    /// Persistence failures never fail the command: they are counted in
     /// storage::counters().session_flush_failures (and restore_failures
     /// in Stats).
     storage::SessionStore* store = nullptr;
@@ -136,13 +136,13 @@ class SessionManager {
     /// the first command (needs the shared reader lock acquire() cannot
     /// take).
     std::optional<std::string> pending_restore;
-    /// Bytes of engine journal known to be on disk; the persist path
-    /// appends the delta when the on-disk prefix is trusted.
+    /// The engine session_number() the durable file was last written
+    /// against, and how many journal bytes it holds. While the engine's
+    /// number matches, its journal extends the file and persist appends
+    /// the suffix; 0 (a restored session's first persist, or after a
+    /// failed write) forces an atomic whole rewrite.
+    std::uint64_t persisted_session = 0;
     std::size_t persisted_bytes = 0;
-    /// False until this process wrote the file itself — the first persist
-    /// after a restore rewrites whole instead of appending to a prefix it
-    /// only assumes matches.
-    bool append_safe = false;
   };
 
   /// Looks up or creates the named session; bumps its LRU stamp and pins

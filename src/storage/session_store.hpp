@@ -11,9 +11,11 @@
 // percent-encoded ("%2F" for '/'), plus ".jsonl" — collision-free,
 // reversible, and safe on any filesystem.
 //
-// Write discipline: save() rewrites atomically (tmp + fsync + rename)
-// because a journal shrinks on migration compaction; append() extends the
-// existing file for the common one-command delta. Either way the record
+// Write discipline: save() rewrites atomically (tmp + fsync + rename) when
+// the session was replaced (re-open, trace replay, migration compaction,
+// restore); append() extends the existing file for the common one-command
+// delta (SessionManager tells the two apart by the engine's session
+// number). Either way the record
 // boundary is the newline: load() drops an unterminated last line, so a
 // crash mid-write costs at most the final un-acknowledged command.
 //

@@ -4,10 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
-#include "support/error.hpp"
-#include "support/failpoint.hpp"
 #include "support/strings.hpp"
 
 namespace dslayer::telemetry {
@@ -241,88 +238,6 @@ void RingBufferSink::clear() {
 }
 
 // ---------------------------------------------------------------------------
-// JournalSink
-// ---------------------------------------------------------------------------
-
-JournalSink::JournalSink(std::initializer_list<EventKind> kinds) : filtered_(true) {
-  for (const EventKind kind : kinds) accept_[static_cast<std::size_t>(kind)] = true;
-}
-
-bool JournalSink::accepts(EventKind kind) const {
-  return !filtered_ || accept_[static_cast<std::size_t>(kind)];
-}
-
-void JournalSink::on_event(const Event& event) {
-  if (accepts(event.kind)) events_.push_back(event);
-}
-
-// ---------------------------------------------------------------------------
-// JsonlFileSink
-// ---------------------------------------------------------------------------
-
-struct JsonlFileSink::Impl {
-  std::ofstream out;
-};
-
-JsonlFileSink::JsonlFileSink(const std::string& path, std::size_t flush_every)
-    : path_(path), flush_every_(flush_every == 0 ? 1 : flush_every),
-      impl_(std::make_unique<Impl>()) {
-  impl_->out.open(path, std::ios::out | std::ios::trunc);
-  if (!impl_->out.is_open()) {
-    throw Error(cat("telemetry: cannot open JSONL sink '", path, "' for writing"));
-  }
-}
-
-JsonlFileSink::~JsonlFileSink() {
-  // Buffered tail events must reach the file on orderly shutdown — an
-  // ofstream destructor flushes too, but silently; this path still
-  // counts a failure.
-  if (unflushed_ > 0) flush();
-}
-
-void JsonlFileSink::flush() {
-  unflushed_ = 0;
-  impl_->out.flush();
-  if (impl_->out.good()) return;
-  write_failures_.add(1);
-  if (!warned_) {
-    warned_ = true;
-    std::fprintf(stderr,
-                 "warning: telemetry sink '%s' flush failed — buffered events may be lost "
-                 "(counted in write_failures)\n",
-                 path_.c_str());
-  }
-  impl_->out.clear();
-}
-
-void JsonlFileSink::on_event(const Event& event) {
-  bool wrote = false;
-  try {
-    DSLAYER_FAILPOINT("telemetry.jsonl_write");
-    impl_->out << to_jsonl(event) << '\n';
-    if (++unflushed_ >= flush_every_) {
-      unflushed_ = 0;
-      impl_->out.flush();
-    }
-    wrote = impl_->out.good();
-  } catch (const FailpointError&) {
-    wrote = false;  // injected device failure
-  }
-  if (wrote) return;
-  write_failures_.add(1);
-  if (!warned_) {
-    warned_ = true;
-    std::fprintf(stderr,
-                 "warning: telemetry sink '%s' write failed — events are being dropped "
-                 "(counted in write_failures; further failures are silent)\n",
-                 path_.c_str());
-  }
-  // Clear the error state so the journal resumes if the device recovers;
-  // the dropped events stay counted.
-  impl_->out.clear();
-}
-
-// ---------------------------------------------------------------------------
 // Telemetry
 // ---------------------------------------------------------------------------
 
@@ -338,7 +253,6 @@ std::uint64_t Telemetry::emit(EventKind kind, std::string subject, std::string d
   event.duration_us = duration_us;
   counts_[static_cast<std::size_t>(kind)].add(1);
   ring_.on_event(event);
-  for (const auto& sink : sinks_) sink->on_event(event);
   return event.seq;
 }
 
@@ -373,11 +287,6 @@ std::map<std::string, HistogramSnapshot> Telemetry::histogram_snapshots() const 
     out[name] = snapshot;
   }
   return out;
-}
-
-void Telemetry::add_sink(std::shared_ptr<EventSink> sink) {
-  DSLAYER_REQUIRE(sink != nullptr, "telemetry sink must not be null");
-  sinks_.push_back(std::move(sink));
 }
 
 void Telemetry::reset_counters() {

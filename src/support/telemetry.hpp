@@ -1,4 +1,4 @@
-// Structured exploration telemetry: typed events, pluggable sinks, timers.
+// Structured exploration telemetry: typed events, counters, timers.
 //
 // The paper's interactive loop (Section 5) is a dialogue of decisions,
 // eliminations, and re-assessments. This module turns that dialogue into a
@@ -6,13 +6,12 @@
 //
 //   * Event — a typed record (kind, monotonic sequence number, subject,
 //     detail, optional duration) of one step of an exploration or one
-//     query-layer action;
-//   * EventSink — pluggable observers. RingBufferSink keeps the last N
-//     events in memory (the shell's `trace` view); JsonlFileSink streams
-//     every event as one JSON line to a file; JournalSink keeps an
-//     unbounded, kind-filtered journal (the record/replay substrate);
-//   * Telemetry — the per-object hub: assigns sequence numbers, fans
-//     events out to sinks, keeps aggregate per-kind counters for
+//     query-layer action, with a one-line JSONL wire form (to_jsonl /
+//     parse_event_jsonl);
+//   * RingBufferSink — the last N events in memory (the shell's `trace`
+//     view);
+//   * Telemetry — the per-object hub: assigns sequence numbers, records
+//     events in its ring, keeps aggregate per-kind counters for
 //     high-frequency kinds that are counted but not materialized
 //     (ConstraintEvaluated, ComplianceCheck on the hot candidate scan),
 //     and owns per-query-kind latency histograms;
@@ -21,13 +20,15 @@
 //
 // Layering: this is a support module — it knows nothing about CDOs,
 // sessions, or values. The dsl layer encodes its payloads into the
-// subject/detail strings (see ExplorationSession::export_journal()).
+// subject/detail strings, and an exploration session keeps its replay
+// journal as the to_jsonl() lines of the state-mutating events it emits
+// (see ExplorationSession::export_journal()).
 //
 // Threading model (audited for the concurrent exploration service,
 // DESIGN.md §9): count()/count_of() are thread-safe (relaxed atomics) —
 // they are the only telemetry operations the layer-side query hot paths
 // perform under the service's SHARED reader lock. Everything else
-// (emit(), record_timing(), sinks, histograms, the sequence counter)
+// (emit(), record_timing(), the ring, histograms, the sequence counter)
 // requires external synchronization: session hubs are guarded by the
 // service's per-session lock, and the shared layer's hub only emits or
 // times on exclusive-epoch paths (index_cores, first-touch index builds —
@@ -38,7 +39,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -77,7 +77,7 @@ const char* to_string(EventKind kind);
 std::optional<EventKind> parse_event_kind(std::string_view name);
 
 /// One telemetry record. `seq` is monotonic per Telemetry hub, so a
-/// journal's order is reconstructible even after sink-side filtering.
+/// journal that keeps only some kinds still records their order.
 struct Event {
   std::uint64_t seq = 0;
   EventKind kind = EventKind::kSessionOpened;
@@ -100,20 +100,14 @@ std::string to_jsonl(const Event& event);
 /// whitespace). nullopt on malformed input or unknown kind.
 std::optional<Event> parse_event_jsonl(std::string_view line);
 
-/// Observer interface; implementations must tolerate high event rates.
-class EventSink {
- public:
-  virtual ~EventSink() = default;
-  virtual void on_event(const Event& event) = 0;
-};
-
-/// Bounded in-memory sink: keeps the most recent `capacity` events,
-/// counting (not failing on) overflow.
-class RingBufferSink final : public EventSink {
+/// Bounded in-memory event history: keeps the most recent `capacity`
+/// events, counting (not failing on) overflow. Every Telemetry hub owns
+/// one (the shell's `trace` view).
+class RingBufferSink {
  public:
   explicit RingBufferSink(std::size_t capacity = 4096);
 
-  void on_event(const Event& event) override;
+  void on_event(const Event& event);
 
   /// Oldest-first copy of the retained events.
   std::vector<Event> snapshot() const;
@@ -129,65 +123,6 @@ class RingBufferSink final : public EventSink {
   std::vector<Event> buffer_;  // ring once full; next_ is the write head
   std::size_t next_ = 0;
   std::uint64_t total_ = 0;
-};
-
-/// Unbounded in-memory sink retaining only the listed kinds (all kinds
-/// when the filter is empty). The session's replay journal is one of
-/// these over the state-mutating kinds.
-class JournalSink final : public EventSink {
- public:
-  JournalSink() = default;
-  explicit JournalSink(std::initializer_list<EventKind> kinds);
-
-  void on_event(const Event& event) override;
-
-  const std::vector<Event>& events() const { return events_; }
-  bool accepts(EventKind kind) const;
-  void clear() { events_.clear(); }
-
- private:
-  std::array<bool, kEventKindCount> accept_{};
-  bool filtered_ = false;
-  std::vector<Event> events_;
-};
-
-/// Streams every event as one JSON line. `flush_every` bounds how much a
-/// crash can silently lose: the sink flushes after every Nth event (the
-/// default 1 flushes per event — journals survive crashes at stream
-/// cost; a larger N amortizes the flush for high-rate streams, capping
-/// loss at N-1 events), on explicit flush(), and at destruction. Throws
-/// dslayer::Error if the file cannot be opened.
-///
-/// Write failures (disk full, path yanked) must not be silent data loss:
-/// each failed write bumps write_failures(), the first one also prints a
-/// one-shot stderr warning, and the sink keeps trying (the stream error
-/// state is cleared so a recovered disk resumes the journal). The
-/// "telemetry.jsonl_write" failpoint simulates a failing device.
-class JsonlFileSink final : public EventSink {
- public:
-  explicit JsonlFileSink(const std::string& path, std::size_t flush_every = 1);
-  ~JsonlFileSink() override;
-
-  void on_event(const Event& event) override;
-
-  /// Pushes everything buffered to the file now (crash-adjacent callers
-  /// — signal handlers excepted — use this before risky sections).
-  void flush();
-
-  const std::string& path() const { return path_; }
-  std::size_t flush_every() const { return flush_every_; }
-
-  /// Events that could not be written (and are lost from the file).
-  std::uint64_t write_failures() const { return write_failures_.get(); }
-
- private:
-  std::string path_;
-  std::size_t flush_every_;
-  std::size_t unflushed_ = 0;
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  RelaxedCounter write_failures_;
-  bool warned_ = false;
 };
 
 /// The latency histograms' bucket-edge convention, pinned by
@@ -228,20 +163,20 @@ struct TimingSummary {
   double total_us = 0.0;
 };
 
-/// The hub: sequence numbers, sinks, counters, histograms. One per
+/// The hub: sequence numbers, ring, counters, histograms. One per
 /// instrumented object (DesignSpaceLayer, ExplorationSession).
 class Telemetry {
  public:
   explicit Telemetry(std::size_t ring_capacity = 4096);
 
   /// Materializes an event: assigns the next sequence number, bumps the
-  /// per-kind counter, and fans out to the ring buffer and every added
-  /// sink. Returns the assigned sequence number.
+  /// per-kind counter, and records it in the ring buffer. Returns the
+  /// assigned sequence number.
   std::uint64_t emit(EventKind kind, std::string subject = {}, std::string detail = {},
                      double duration_us = 0.0);
 
   /// Counter-only fast path for high-frequency kinds: no Event is
-  /// allocated and sinks are not notified. Thread-safe (relaxed atomic) —
+  /// allocated and the ring is not touched. Thread-safe (relaxed atomic) —
   /// shared-layer hot paths bump these concurrently under a reader lock.
   void count(EventKind kind, std::uint64_t n = 1) {
     counts_[static_cast<std::size_t>(kind)].add(n);
@@ -269,12 +204,9 @@ class Telemetry {
   RingBufferSink& ring() { return ring_; }
   const RingBufferSink& ring() const { return ring_; }
 
-  /// Attaches an additional sink (journal, JSONL file, test probe...).
-  void add_sink(std::shared_ptr<EventSink> sink);
-
-  /// Zeroes counters and histograms. The ring buffer and attached sinks
-  /// keep their contents (resetting stats must not erase the trace); the
-  /// sequence counter is never reset so event ids stay unique.
+  /// Zeroes counters and histograms. The ring buffer keeps its contents
+  /// (resetting stats must not erase the trace); the sequence counter is
+  /// never reset so event ids stay unique.
   void reset_counters();
 
  private:
@@ -293,7 +225,6 @@ class Telemetry {
   std::uint64_t seq_ = 0;
   std::array<RelaxedCounter, kEventKindCount> counts_{};
   RingBufferSink ring_;
-  std::vector<std::shared_ptr<EventSink>> sinks_;
   std::map<std::string, Histogram> histograms_;
 };
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
 #include "dsl/exploration.hpp"
 #include "support/error.hpp"
 
@@ -335,6 +338,47 @@ TEST(Session, TraceRecordsNarrative) {
   const std::string report = s.report();
   EXPECT_NE(report.find("Style = HW"), std::string::npos);
   EXPECT_NE(report.find("Candidate cores"), std::string::npos);
+}
+
+// The replay journal holds exactly the state-mutating events, in emission
+// order, each rendered as the to_jsonl line of the event the hub recorded;
+// queries, eliminations, re-assessment flags and rejected actions leave
+// no line.
+TEST(Session, JournalHoldsOnlyTheFiveMutatingKinds) {
+  using telemetry::EventKind;
+  auto layer = rich_layer();
+  ExplorationSession s(*layer, "Block.HW");
+  s.set_requirement("Size", 10.0);
+  s.decide("Scheme", "Q");
+  (void)s.candidates();
+  (void)s.candidates();
+  (void)s.eliminated_options("Tech");
+  s.set_requirement("Size", 200.0);  // flags Scheme for re-assessment
+  EXPECT_THROW(s.reaffirm("Scheme"), ExplorationError);
+  s.set_requirement("Size", 10.0);
+  s.reaffirm("Scheme");
+  s.retract("Scheme");
+  EXPECT_GT(s.telemetry().count_of(EventKind::kCacheHit), 0u);
+  EXPECT_GT(s.telemetry().count_of(EventKind::kReassessmentFlagged), 0u);
+
+  std::vector<EventKind> kinds;
+  std::istringstream in(s.export_journal());
+  std::string line;
+  const auto ring = s.telemetry().ring().snapshot();
+  while (std::getline(in, line)) {
+    const auto event = telemetry::parse_event_jsonl(line);
+    ASSERT_TRUE(event.has_value()) << line;
+    kinds.push_back(event->kind);
+    const auto recorded = std::find_if(ring.begin(), ring.end(), [&](const telemetry::Event& e) {
+      return e.seq == event->seq;
+    });
+    ASSERT_NE(recorded, ring.end()) << line;
+    EXPECT_EQ(telemetry::to_jsonl(*recorded), line);
+  }
+  EXPECT_EQ(kinds, (std::vector<EventKind>{EventKind::kSessionOpened, EventKind::kRequirementSet,
+                                           EventKind::kDecision, EventKind::kRequirementSet,
+                                           EventKind::kRequirementSet, EventKind::kReaffirm,
+                                           EventKind::kRetract}));
 }
 
 TEST(Session, BindingsIncludeDefaults) {

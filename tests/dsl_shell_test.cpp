@@ -6,6 +6,7 @@
 
 #include "domains/crypto.hpp"
 #include "dsl/shell.hpp"
+#include "support/failpoint.hpp"
 #include "support/strings.hpp"
 
 namespace dslayer::dsl {
@@ -251,6 +252,43 @@ TEST_F(ShellTest, TraceAndExportNeedASessionAndAReadableFile) {
   EXPECT_NE(r.output.find("no session"), std::string::npos);
   EXPECT_NE(r.output.find("cannot read journal"), std::string::npos);
   EXPECT_NE(r.output.find("layer:"), std::string::npos);
+}
+
+// `trace export` writes the whole journal or fails the command: a file
+// missing a line does not replay. The failure is injected at the
+// "telemetry.jsonl_write" failpoint, which self-disarms after one fire.
+TEST_F(ShellTest, TraceExportFailsWhenTheJournalIsNotWritten) {
+  struct FailpointGuard {
+    ~FailpointGuard() { support::FailpointRegistry::instance().reset(); }
+    support::FailpointRegistry& registry = support::FailpointRegistry::instance();
+  } failpoints;
+  ASSERT_TRUE(failpoints.registry.arm_spec("telemetry.jsonl_write=error:1"));
+  const std::string path = testing::TempDir() + "/shell_export_failure.jsonl";
+  const ShellRun r = run(*layer_, cat("open Operator.Modular.Multiplier\n",
+                                      "trace export ", path, "\n",
+                                      "trace export ", path, "\n",
+                                      "trace replay ", path, "\n"));
+  EXPECT_EQ(r.failures, 1) << r.output;
+  EXPECT_NE(r.output.find(cat("error: writing journal '", path, "' failed")), std::string::npos)
+      << r.output;
+  // The device recovered: the next export is whole and replays.
+  EXPECT_NE(r.output.find(cat("exported 1 events to ", path)), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("replayed 1 events"), std::string::npos) << r.output;
+  std::remove(path.c_str());
+}
+
+TEST_F(ShellTest, TraceExportFailsOnBadPathsAndFullDevices) {
+  const ShellRun r = run(*layer_,
+                         "open Operator.Modular.Multiplier\n"
+                         "trace export /no/such/dir/journal.jsonl\n"
+                         "trace export /dev/full\n");
+  EXPECT_EQ(r.failures, 2) << r.output;
+  EXPECT_NE(r.output.find("error: cannot write journal '/no/such/dir/journal.jsonl'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("error: writing journal '/dev/full' failed"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("exported"), std::string::npos) << r.output;
 }
 
 TEST_F(ShellTest, ReplayRejectsMalformedJournal) {

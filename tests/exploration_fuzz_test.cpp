@@ -15,13 +15,28 @@
 //   I7  (replay determinism) exporting the session's journal and replaying
 //       it into a fresh session reproduces the final report() and
 //       candidate set byte for byte.
+//
+// A second oracle (DurableEquivalence) checks durability: one random
+// multi-session command stream, with catalog epoch bumps, run through a
+// SessionManager over a SessionStore (with restarts and LRU evictions) and
+// through an in-memory one must give byte-identical responses, and after
+// every command answered ok the stored journal must equal the live one and
+// replay to the live session.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <optional>
 #include <set>
+#include <sstream>
 
 #include "domains/crypto.hpp"
+#include "service/session_manager.hpp"
+#include "service/shared_layer.hpp"
+#include "storage/file_io.hpp"
+#include "storage/session_store.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace dslayer {
 namespace {
@@ -188,6 +203,141 @@ TEST(ExplorationFuzz, TechnologyFirstHierarchyWalk) {
   EXPECT_EQ(replayed.report(), s.report());
   EXPECT_EQ(replayed.candidates(), s.candidates());
 }
+
+// ---------------------------------------------------------------------------
+// Durable-equivalence oracle
+// ---------------------------------------------------------------------------
+
+/// One element of a walk: a command on a named session, or (empty
+/// session) an event between commands.
+struct WalkStep {
+  enum class Kind { kCommand, kEpochBump, kRestart } kind = Kind::kCommand;
+  std::string session;
+  std::string line;
+};
+
+std::vector<WalkStep> random_walk(unsigned seed) {
+  const char* opens[] = {domains::kPathOMM, domains::kPathOMMH, domains::kPathOMMHM};
+  // CC1 flags a decided Montgomery for re-assessment when ModuloIsOdd is
+  // revised, so every mutating kind (reaffirm included) gets accepted.
+  const char* mutations[] = {
+      "req EffectiveOperandLength 512",      "req EffectiveOperandLength 768",
+      "req ModuloIsOdd Guaranteed",          "req ModuloIsOdd NotGuaranteed",
+      "decide ImplementationStyle Hardware", "decide ImplementationStyle Software",
+      "decide Algorithm Montgomery",         "decide Algorithm Brickell",
+      "decide FabricationTechnology 0.35um", "retract EffectiveOperandLength",
+      "retract ModuloIsOdd",                 "retract ImplementationStyle",
+      "retract Algorithm",                   "reaffirm Algorithm",
+  };
+  const char* reads[] = {"report", "candidates", "range area", "pending",
+                         "options Algorithm", "ranges Algorithm area"};
+  Rng rng(seed * 104729 + 7);
+  std::vector<WalkStep> walk;
+  for (int s = 0; s < 3; ++s) {
+    walk.push_back({WalkStep::Kind::kCommand, cat("s", s), cat("open ", opens[s])});
+  }
+  for (int step = 1; step <= 150; ++step) {
+    if (step % 23 == 0) {
+      walk.push_back({WalkStep::Kind::kEpochBump, {}, {}});
+      continue;
+    }
+    if (step % 37 == 0) {
+      walk.push_back({WalkStep::Kind::kRestart, {}, {}});
+      continue;
+    }
+    WalkStep command{WalkStep::Kind::kCommand, cat("s", rng.next_below(3)), {}};
+    const auto dice = rng.next_below(20);
+    if (dice == 0) {
+      command.line = cat("open ", opens[rng.next_below(3)]);
+    } else if (dice < 12) {
+      command.line = mutations[rng.next_below(std::size(mutations))];
+    } else {
+      command.line = reads[rng.next_below(std::size(reads))];
+    }
+    walk.push_back(std::move(command));
+  }
+  return walk;
+}
+
+std::string run_command(service::SessionManager& manager, const std::string& session,
+                        const std::string& line, dsl::ShellEngine::Status* status = nullptr) {
+  std::ostringstream out;
+  const dsl::ShellEngine::Status result = manager.execute(session, line, out);
+  if (status != nullptr) *status = result;
+  return out.str();
+}
+
+class DurableEquivalence : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(DurableEquivalence, DurableRunMatchesInMemoryRunAndStoredJournalsReplay) {
+  auto layer = domains::build_crypto_layer();
+  service::SharedLayer shared(*layer);
+  const std::vector<WalkStep> walk = random_walk(GetParam());
+
+  // In memory: room for every session, so nothing is ever evicted.
+  std::vector<std::string> expected;
+  {
+    service::SessionManager::Options options;
+    options.max_sessions = 8;
+    service::SessionManager manager(shared, options);
+    for (const WalkStep& step : walk) {
+      if (step.kind == WalkStep::Kind::kEpochBump) shared.write([](dsl::DesignSpaceLayer&) {});
+      if (step.kind == WalkStep::Kind::kCommand) {
+        expected.push_back(run_command(manager, step.session, step.line));
+      }
+    }
+  }
+
+  // Durable: two live sessions for three names, so the walk also evicts
+  // and restores from the store between restarts.
+  const std::string dir =
+      cat(::testing::TempDir(), "dslayer_durable_equivalence_", GetParam());
+  storage::SessionStore store(dir + "/sessions");
+  for (const std::string& name : store.list()) store.remove(name);  // a previous run's
+  const std::string export_path = dir + "/export.jsonl";
+  service::SessionManager::Options options;
+  options.max_sessions = 2;
+  options.store = &store;
+  std::optional<service::SessionManager> manager(std::in_place, shared, options);
+  std::size_t ok_commands = 0;
+  std::size_t at = 0;
+  for (const WalkStep& step : walk) {
+    if (step.kind == WalkStep::Kind::kEpochBump) {
+      shared.write([](dsl::DesignSpaceLayer&) {});
+      continue;
+    }
+    if (step.kind == WalkStep::Kind::kRestart) {
+      manager.emplace(shared, options);
+      continue;
+    }
+    dsl::ShellEngine::Status status{};
+    const std::string response = run_command(*manager, step.session, step.line, &status);
+    ASSERT_EQ(response, expected[at]) << "command " << at << ": " << step.session << " "
+                                      << step.line;
+    ++at;
+    if (status != dsl::ShellEngine::Status::kOk) continue;
+    ++ok_commands;
+
+    // The stored journal is the live one, byte for byte...
+    const std::string exported =
+        run_command(*manager, step.session, cat("trace export ", export_path));
+    ASSERT_EQ(exported.rfind("exported ", 0), 0u) << exported;
+    const std::optional<std::string> stored = store.load(step.session);
+    ASSERT_TRUE(stored.has_value()) << step.session;
+    ASSERT_EQ(*stored, storage::read_file(export_path)) << "after " << step.line;
+
+    // ...and replays to the live session's report and candidates.
+    const ExplorationSession replayed = ExplorationSession::replay(*layer, *stored);
+    ASSERT_EQ(replayed.report(), run_command(*manager, step.session, "report"));
+    std::string candidates;
+    for (const Core* core : replayed.candidates()) candidates += cat("  ", core->describe(), "\n");
+    ASSERT_EQ(candidates, run_command(*manager, step.session, "candidates"));
+  }
+  EXPECT_EQ(at, expected.size());
+  EXPECT_GT(ok_commands, 50u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Walks, DurableEquivalence, ::testing::Range(1u, 9u));  // 8 walks
 
 }  // namespace
 }  // namespace dslayer

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -61,6 +62,16 @@ class DurableSessionTest : public ::testing::Test {
     std::ostringstream out;
     manager.execute(session, line, out);
     return out.str();
+  }
+
+  /// Restarts over `store` (a fresh manager, as after a reboot) and
+  /// requires `session` to restore to exactly `report`.
+  void expect_restores(storage::SessionStore& store, const std::string& session,
+                       const std::string& report) {
+    SessionManager manager(shared_, with_store(store));
+    EXPECT_EQ(run(manager, session, "report"), report);
+    EXPECT_EQ(manager.stats().restored, 1u);
+    EXPECT_EQ(manager.stats().restore_failures, 0u);
   }
 
   std::unique_ptr<dsl::DesignSpaceLayer> layer_;
@@ -155,6 +166,58 @@ TEST_F(DurableSessionTest, PersistFailureCountsButNeverFailsTheCommand) {
   const std::string report = run(manager, "alice", "report");
   SessionManager manager2(shared_, with_store(store));
   EXPECT_EQ(run(manager2, "alice", "report"), report);
+}
+
+// A command that replaces the session (re-open, trace replay, epoch
+// migration) replaces its journal too: the durable file must be rewritten,
+// not extended from the old session's byte offset.
+TEST_F(DurableSessionTest, ReopenRewritesTheJournal) {
+  storage::SessionStore store(scratch_dir("reopen"));
+  std::string before;
+  {
+    SessionManager manager(shared_, with_store(store));
+    run(manager, "alice", cat("open ", kOmm));
+    run(manager, "alice", cat("open ", domains::kPathOMMH));
+    before = run(manager, "alice", "report");
+  }
+  expect_restores(store, "alice", before);
+}
+
+TEST_F(DurableSessionTest, TraceReplayRewritesTheJournal) {
+  storage::SessionStore store(scratch_dir("replay"));
+  const std::string path = scratch_dir("source") + "/journal.jsonl";
+  {
+    dsl::ExplorationSession source(*layer_, kOmm);
+    source.set_requirement(domains::kEOL, 768.0);
+    std::ofstream(path) << source.export_journal();
+  }
+  std::string before;
+  {
+    SessionManager manager(shared_, with_store(store));
+    run(manager, "alice", cat("open ", domains::kPathOMMH));
+    EXPECT_NE(run(manager, "alice", cat("trace replay ", path)).find("replayed 2 events"),
+              std::string::npos);
+    before = run(manager, "alice", "report");
+  }
+  expect_restores(store, "alice", before);
+}
+
+TEST_F(DurableSessionTest, EpochMigrationRewritesTheJournal) {
+  storage::SessionStore store(scratch_dir("migrate"));
+  std::string before;
+  {
+    SessionManager manager(shared_, with_store(store));
+    run(manager, "alice", cat("open ", kOmm));
+    // Reads emit telemetry events between the journaled ones, so the
+    // requirement's seq is larger than the one replay will give it.
+    for (int i = 0; i < 4; ++i) run(manager, "alice", "range area");
+    run(manager, "alice", cat("req ", domains::kEOL, " 768"));
+    shared_.write([](dsl::DesignSpaceLayer&) {});  // epoch bump: migrate on next command
+    run(manager, "alice", "decide ImplementationStyle Hardware");
+    EXPECT_EQ(manager.stats().migrations, 1u);
+    before = run(manager, "alice", "report");
+  }
+  expect_restores(store, "alice", before);
 }
 
 // ---------------------------------------------------------------------------

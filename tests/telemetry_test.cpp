@@ -1,18 +1,14 @@
 // Unit tests for the structured telemetry substrate (support/telemetry):
-// event-kind naming, JSONL round-trips, sink behavior (ring buffer,
-// filtered journal, JSONL file), aggregate counters, latency histograms,
-// and the RAII timer.
+// event-kind naming, JSONL round-trips, the ring buffer, aggregate
+// counters, latency histograms, and the RAII timer. The session journal
+// built from these JSONL lines is tested with the session
+// (dsl_exploration_test) and the shell's `trace export` (dsl_shell_test).
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "support/error.hpp"
-#include "support/failpoint.hpp"
 #include "support/telemetry.hpp"
 
 namespace dslayer::telemetry {
@@ -100,140 +96,15 @@ TEST(RingBufferSink, KeepsTheMostRecentEvents) {
   EXPECT_TRUE(ring.snapshot().empty());
 }
 
-TEST(JournalSink, FiltersByKind) {
-  JournalSink journal{EventKind::kDecision, EventKind::kRetract};
-  EXPECT_TRUE(journal.accepts(EventKind::kDecision));
-  EXPECT_FALSE(journal.accepts(EventKind::kCacheHit));
-  for (const EventKind kind :
-       {EventKind::kDecision, EventKind::kCacheHit, EventKind::kRetract}) {
-    Event event;
-    event.kind = kind;
-    journal.on_event(event);
-  }
-  ASSERT_EQ(journal.events().size(), 2u);
-  EXPECT_EQ(journal.events()[0].kind, EventKind::kDecision);
-  EXPECT_EQ(journal.events()[1].kind, EventKind::kRetract);
-
-  JournalSink unfiltered;
-  EXPECT_TRUE(unfiltered.accepts(EventKind::kCacheHit));
-}
-
-TEST(JsonlFileSink, WritesParseableLinesAndRejectsBadPaths) {
-  const std::string path = testing::TempDir() + "/telemetry_sink_test.jsonl";
-  {
-    JsonlFileSink sink(path);
-    Event event;
-    event.seq = 5;
-    event.kind = EventKind::kSessionOpened;
-    event.subject = "Operator.Modular.Multiplier";
-    sink.on_event(event);
-  }
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  const auto parsed = parse_event_jsonl(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->subject, "Operator.Modular.Multiplier");
-  std::remove(path.c_str());
-
-  EXPECT_THROW(JsonlFileSink("/no/such/dir/telemetry.jsonl"), Error);
-}
-
-// A failing journal device must lose events LOUDLY — counted, warned once
-// on stderr — and resume cleanly when the device recovers. The failure is
-// injected at the "telemetry.jsonl_write" failpoint so the test needs no
-// real broken filesystem.
-TEST(JsonlFileSink, CountsInjectedWriteFailuresAndResumesAfterRecovery) {
-  struct FailpointGuard {
-    ~FailpointGuard() { support::FailpointRegistry::instance().reset(); }
-    support::FailpointRegistry& registry = support::FailpointRegistry::instance();
-  } failpoints;
-
-  const std::string path = testing::TempDir() + "/telemetry_sink_failure_test.jsonl";
-  JsonlFileSink sink(path);
-  ASSERT_TRUE(failpoints.registry.arm_spec("telemetry.jsonl_write=error:2"));
-
-  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
-    Event event;
-    event.seq = seq;
-    event.kind = EventKind::kSessionOpened;
-    event.subject = "Operator.Modular.Multiplier";
-    sink.on_event(event);
-  }
-  // Events 1 and 2 hit the injected fault: dropped but counted. The
-  // point self-disarmed after two fires, so 3 and 4 reach the file —
-  // the sink recovered without being recreated.
-  EXPECT_EQ(sink.write_failures(), 2u);
-
-  std::ifstream in(path);
-  std::string line;
-  std::vector<std::uint64_t> surviving;
-  while (std::getline(in, line)) {
-    const auto parsed = parse_event_jsonl(line);
-    ASSERT_TRUE(parsed.has_value()) << line;
-    surviving.push_back(parsed->seq);
-  }
-  EXPECT_EQ(surviving, (std::vector<std::uint64_t>{3, 4}));
-  std::remove(path.c_str());
-}
-
-// Regression for the flush-batching contract: flush_every=N buffers up to
-// N-1 events in the ofstream; crossing N flushes them to the file, and an
-// explicit flush() makes the buffered tail visible immediately.
-TEST(JsonlFileSink, FlushEveryBatchesAndExplicitFlushDrains) {
-  const std::string path = testing::TempDir() + "/telemetry_sink_flush_test.jsonl";
-  {
-    JsonlFileSink sink(path, /*flush_every=*/3);
-    EXPECT_EQ(sink.flush_every(), 3u);
-    const auto emit = [&sink](std::uint64_t seq) {
-      Event event;
-      event.seq = seq;
-      event.kind = EventKind::kSessionOpened;
-      sink.on_event(event);
-    };
-    const auto lines_on_disk = [&path]() {
-      std::ifstream in(path);
-      std::string line;
-      std::size_t count = 0;
-      while (std::getline(in, line)) ++count;
-      return count;
-    };
-    emit(1);
-    emit(2);
-    emit(3);  // third event crosses the threshold: all three flushed
-    EXPECT_EQ(lines_on_disk(), 3u);
-    emit(4);  // buffered (no guarantee it is on disk yet)...
-    sink.flush();  // ...until an explicit flush drains the tail
-    EXPECT_EQ(lines_on_disk(), 4u);
-    EXPECT_EQ(sink.write_failures(), 0u);
-    emit(5);
-  }  // destructor flushes the buffered tail
-  std::ifstream in(path);
-  std::string line;
-  std::size_t count = 0;
-  while (std::getline(in, line)) {
-    ASSERT_TRUE(parse_event_jsonl(line).has_value()) << line;
-    ++count;
-  }
-  EXPECT_EQ(count, 5u);
-  std::remove(path.c_str());
-
-  // flush_every=0 is coerced to 1 (per-event flushing, the old default).
-  JsonlFileSink per_event(path, 0);
-  EXPECT_EQ(per_event.flush_every(), 1u);
-  std::remove(path.c_str());
-}
-
 TEST(TelemetryHub, EmitAssignsMonotonicSeqAndFansOut) {
   Telemetry hub;
-  auto probe = std::make_shared<JournalSink>();
-  hub.add_sink(probe);
   const auto s1 = hub.emit(EventKind::kSessionOpened, "Root");
   const auto s2 = hub.emit(EventKind::kDecision, "Algorithm", "txt:Montgomery");
   EXPECT_LT(s1, s2);
-  ASSERT_EQ(probe->events().size(), 2u);
-  EXPECT_EQ(probe->events()[1].detail, "txt:Montgomery");
-  EXPECT_EQ(hub.ring().snapshot().size(), 2u);
+  const auto ring = hub.ring().snapshot();
+  ASSERT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring[1].seq, s2);
+  EXPECT_EQ(ring[1].detail, "txt:Montgomery");
   EXPECT_EQ(hub.count_of(EventKind::kDecision), 1u);
 }
 
