@@ -243,15 +243,16 @@ int main(int argc, char** argv) {
   std::cout << "custom_filter / declarative simd per scan: "
             << format_double(custom_vs_declarative, 3) << "x\n";
 
-  // Memory footprint of the columnar snapshot the phases swept (the plan
-  // is cached on the layer; the session's scope is the kPathOMM subtree).
+  // Memory footprint of the layer's columnar table, whose row range for
+  // the kPathOMM subtree (the session's scope) the phases swept.
   dsl::ExplorationSession probe(*layer, kPathOMM);
   const dsl::CoreFilterPlan& plan = layer->filter_plan(probe.current());
   const std::size_t table_bytes = plan.table.memory_bytes();
   const double bytes_per_core =
       plan.table.rows() > 0 ? static_cast<double>(table_bytes) / plan.table.rows() : 0.0;
   std::cout << "columnar table: " << plan.table.rows() << " rows, " << table_bytes << " bytes ("
-            << format_double(bytes_per_core, 1) << " bytes/core)\n";
+            << format_double(bytes_per_core, 1) << " bytes/core); swept range " << plan.rows()
+            << " rows\n";
 
   const bool ok = declarative.identical && declarative.counters_match && custom.identical &&
                   custom.counters_match && declarative.speedup_simd_vs_legacy >= 5.0 &&
@@ -275,7 +276,7 @@ int main(int argc, char** argv) {
         << "  \"synthetic_cores\": " << synthetic << ",\n"
         << "  \"indexed_cores\": " << indexed << ",\n"
         << "  \"kernel\": \"" << simd::to_string(simd::widest_supported()) << "\",\n"
-        << "  \"table_rows\": " << plan.table.rows() << ",\n"
+        << "  \"table_rows\": " << plan.rows() << ",\n"
         << "  \"table_bytes\": " << table_bytes << ",\n"
         << "  \"bytes_per_core\": " << bytes_per_core << ",\n";
     json_scenario(out, "declarative", declarative);

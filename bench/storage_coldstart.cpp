@@ -13,7 +13,7 @@
 // The snapshot path is what a restarted dslshell/dslserve pays before it
 // can answer its first query: load_snapshot() maps the file, rebuilds the
 // libraries and index from the column sections, and re-installs the
-// persisted filter plans (text columns alias the mmap when the symbol
+// persisted core table (text columns alias the mmap when the symbol
 // remap is the identity, so the big payloads are never copied).
 //
 // Two gates, both set from measured behaviour (see EXPERIMENTS.md):
@@ -24,6 +24,10 @@
 //  * plan restore >= 50x faster than re-priming the filter plan — the
 //    query-readiness phase, where the snapshot's persisted CoreTable
 //    columns replace the full scan-and-build.
+//
+// It also reports what a full SharedLayer prime of the catalog holds: the
+// number of distinct CoreTables behind the CDOs' filter plans (one — every
+// plan is a row range of the layer's table) and their bytes.
 //
 // Correctness rides along: the restored layer's dsl::export_layer() must
 // be byte-identical to the original's, and the deterministic shape
@@ -36,11 +40,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <string>
 
 #include "domains/crypto.hpp"
 #include "dsl/exploration.hpp"
 #include "dsl/serialize.hpp"
+#include "service/shared_layer.hpp"
 #include "storage/file_io.hpp"
 #include "storage/snapshot.hpp"
 #include "support/strings.hpp"
@@ -100,7 +106,21 @@ int main(int argc, char** argv) {
             << " indexed), populate " << format_double(populate_ms, 5) << " ms + index "
             << format_double(index_ms, 5) << " ms + prime " << format_double(prime_ms, 5)
             << " ms = " << format_double(rebuild_ms, 5) << " ms ("
-            << primed.table.rows() << " table rows)\n";
+            << primed.rows() << " plan rows)\n";
+
+  // --- What a serving process holds after priming every CDO's plan. ---
+  std::set<const dsl::CoreTable*> primed_tables;
+  std::size_t primed_table_bytes = 0;
+  {
+    const service::SharedLayer shared(*layer, service::SharedLayer::Reindex::kPreserve);
+    const auto reader = shared.read_lock();
+    for (const dsl::Cdo* cdo : layer->space().all()) {
+      const dsl::CoreTable& table = shared.layer().filter_plan(*cdo).table;
+      if (primed_tables.insert(&table).second) primed_table_bytes += table.memory_bytes();
+    }
+  }
+  std::cout << "full prime: " << primed_tables.size() << " core tables, " << primed_table_bytes
+            << " bytes\n";
 
   // --- Full re-index: the text interchange is the durable format without
   // a snapshot, so the production cold start is parse + index (both inside
@@ -118,11 +138,11 @@ int main(int argc, char** argv) {
     dsl::ExplorationSession reindex_probe(*reimported.layer, kPathOMM);
     const dsl::CoreFilterPlan& replan = reimported.layer->filter_plan(reindex_probe.current());
     reindex_prime_ms = ms_since(start);
-    reimported_cores = replan.table.rows();
+    reimported_cores = replan.rows();
   }
   const double reindex_ms = reindex_import_ms + reindex_prime_ms;
   std::cout << "full re-index: " << live_text.size() << " bytes of interchange text, "
-            << reimported_cores << " table rows, import+index " << format_double(reindex_import_ms, 5)
+            << reimported_cores << " plan rows, import+index " << format_double(reindex_import_ms, 5)
             << " ms + prime " << format_double(reindex_prime_ms, 5) << " ms = "
             << format_double(reindex_ms, 5) << " ms\n";
 
@@ -157,12 +177,15 @@ int main(int argc, char** argv) {
             << format_double(loaded.phases.index_ms, 4) << " ms, tables "
             << format_double(loaded.phases.tables_ms, 4) << " ms\n";
 
-  // --- Oracle: the booted catalog is byte-identical to the original. ---
+  // --- Oracle: the booted catalog is byte-identical to the original, and
+  // the booted plan sweeps the restored table rather than a rebuilt one.
   // The filter-plan probe must use the BOOTED layer's CDO object: plans
   // key on Cdo identity, not path.
   dsl::ExplorationSession boot_probe(*booted, kPathOMM);
   const bool identical = dsl::export_layer(*booted) == live_text;
-  const bool plan_restored = booted->peek_filter_plan(boot_probe.current()) != nullptr;
+  const dsl::CoreTable* restored_table = booted->peek_core_table();
+  const bool plan_restored = restored_table != nullptr &&
+                             &booted->filter_plan(boot_probe.current()).table == restored_table;
   const bool pass = identical && plan_restored && reindex_speedup >= kReindexSpeedupGate &&
                     prime_speedup >= kPrimeSpeedupGate;
   std::cout << "export identical: " << (identical ? "yes" : "NO")
@@ -189,6 +212,8 @@ int main(int argc, char** argv) {
         << "  \"index_ms\": " << index_ms << ",\n"
         << "  \"prime_ms\": " << prime_ms << ",\n"
         << "  \"rebuild_ms\": " << rebuild_ms << ",\n"
+        << "  \"primed_tables\": " << primed_tables.size() << ",\n"
+        << "  \"primed_table_bytes\": " << primed_table_bytes << ",\n"
         << "  \"interchange_bytes\": " << live_text.size() << ",\n"
         << "  \"reindex_import_ms\": " << reindex_import_ms << ",\n"
         << "  \"reindex_prime_ms\": " << reindex_prime_ms << ",\n"

@@ -50,6 +50,24 @@ void mark(ColumnData<std::uint64_t>& bits, std::size_t row) {
   bits[row >> 6] |= (std::uint64_t{1} << (row & 63));
 }
 
+/// The bits of table word `word` whose rows lie in [begin, end); the word
+/// must overlap the range.
+std::uint64_t range_bits(std::size_t word, std::size_t begin, std::size_t end) {
+  const std::size_t lo = word << 6;
+  std::uint64_t bits = ~std::uint64_t{0};
+  if (begin > lo) bits &= bits << (begin - lo);
+  if (end < lo + 64) bits &= ~std::uint64_t{0} >> (lo + 64 - end);
+  return bits;
+}
+
+/// Whether any row in [begin, end) carries a value in `column`.
+bool present_in(const CoreTable::Column& column, std::size_t begin, std::size_t end) {
+  for (std::size_t w = begin >> 6; begin < end && w <= (end - 1) >> 6; ++w) {
+    if ((column.present[w] & range_bits(w, begin, end)) != 0) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 std::size_t columnar_parallel_threshold() {
@@ -63,7 +81,7 @@ void set_columnar_parallel_threshold(std::size_t rows) {
 // ---------------------------------------------------------------------------
 // CoreTable
 
-CoreTable::CoreTable(const std::vector<const Core*>& cores) : cores_(cores) {
+CoreTable::CoreTable(std::span<const Core* const> cores) : cores_(cores) {
   words_ = (cores_.size() + 63) / 64;
   padded_rows_ = words_ * 64;
   if (!cores_.empty()) {
@@ -93,9 +111,9 @@ CoreTable::CoreTable(const std::vector<const Core*>& cores) : cores_(cores) {
   }
 }
 
-CoreTable::CoreTable(std::vector<const Core*> cores, std::vector<Column> binding_columns,
+CoreTable::CoreTable(std::span<const Core* const> cores, std::vector<Column> binding_columns,
                      std::vector<Column> metric_columns, std::shared_ptr<const void> keepalive)
-    : cores_(std::move(cores)),
+    : cores_(cores),
       binding_columns_(std::move(binding_columns)),
       metric_columns_(std::move(metric_columns)),
       keepalive_(std::move(keepalive)) {
@@ -200,7 +218,6 @@ std::size_t CoreTable::memory_bytes() const {
            column.texts.resident_bytes() + column.values.capacity() * sizeof(Value);
   };
   std::size_t total = sizeof(CoreTable);
-  total += cores_.capacity() * sizeof(const Core*);
   total += binding_index_.capacity() * sizeof(SymbolIndex::value_type);
   total += metric_index_.capacity() * sizeof(SymbolIndex::value_type);
   for (const Column& column : binding_columns_) total += column_bytes(column);
@@ -212,25 +229,20 @@ std::size_t CoreTable::memory_bytes() const {
 // CoreFilterPlan
 
 CoreFilterPlan::CoreFilterPlan(
-    const std::vector<const Core*>& cores,
+    const CoreTable& table, std::size_t begin, std::size_t end,
     const std::vector<const ConsistencyConstraint*>& predicate_constraints)
-    : table(cores) {
-  compile(predicate_constraints);
-}
-
-CoreFilterPlan::CoreFilterPlan(
-    CoreTable restored, const std::vector<const ConsistencyConstraint*>& predicate_constraints)
-    : table(std::move(restored)) {
-  compile(predicate_constraints);
-}
-
-void CoreFilterPlan::compile(
-    const std::vector<const ConsistencyConstraint*>& predicate_constraints) {
+    : table(table), begin(begin), end(end) {
+  // A column no row of the range carries counts as absent for this plan,
+  // so its terms fall back to the session value and keep their kernel
+  // mode.
+  const auto column_of = [&](support::Symbol symbol) -> const CoreTable::Column* {
+    const CoreTable::Column* column = table.binding_column(symbol);
+    return column != nullptr && present_in(*column, begin, end) ? column : nullptr;
+  };
   const auto property_term = [&](const std::string& name) {
     CompiledPredicate::Term term;
     term.symbol = support::intern_symbol(name);
-    const CoreTable::Column* column = table.binding_column(term.symbol);
-    term.column = column == nullptr ? -1 : 0;  // column pointer re-resolved per query
+    term.column = column_of(term.symbol);
     return term;
   };
 
@@ -244,7 +256,7 @@ void CoreFilterPlan::compile(
       }
       CompiledPredicate::Term term;
       term.symbol = symbol;
-      term.column = table.binding_column(symbol) == nullptr ? -1 : 0;
+      term.column = column_of(symbol);
       predicate.references.push_back(term);
     };
     for (const PropertyPath& path : cc->independent()) add_reference(path.property_symbol());
@@ -387,8 +399,7 @@ struct ResolvedTerm {
   Cell fallback;
 };
 
-ResolvedTerm resolve_term(const CoreTable& table, const CompiledPredicate::Term& term,
-                          const Bindings& bound) {
+ResolvedTerm resolve_term(const CompiledPredicate::Term& term, const Bindings& bound) {
   ResolvedTerm resolved;
   if (term.symbol == support::kNoSymbol) {  // atom constant
     resolved.fallback.kind = term.const_kind;
@@ -397,7 +408,7 @@ ResolvedTerm resolve_term(const CoreTable& table, const CompiledPredicate::Term&
     resolved.fallback.flag = term.flag;
     return resolved;
   }
-  if (term.column >= 0) resolved.column = table.binding_column(term.symbol);
+  resolved.column = term.column;
   const auto it = bound.find(support::symbol_name(term.symbol));
   if (it != bound.end()) resolved.fallback = cell_of_value(it->second);
   return resolved;
@@ -501,8 +512,9 @@ bool op_holds_row(const ResolvedOp& op, std::size_t row) {
 /// when it is an ==/!= over kText columns / text constants with at
 /// least one column side. Everything else (mixed columns, flag or
 /// cross-kind constants) stays scalar — correctness never depends on
-/// the mode, only throughput does.
-void classify_op(ResolvedOp& op) {
+/// the mode, only throughput does. Operand streams start at table word
+/// `first_word`, the sweep's mask word 0.
+void classify_op(ResolvedOp& op, std::size_t first_word) {
   const auto reset = [&] {
     op.patch_count = 0;
     op.lhs_lane = op.factor_lane = op.rhs_lane = simd::Lane{};
@@ -512,8 +524,8 @@ void classify_op(ResolvedOp& op) {
   const auto num_lane = [&](const ResolvedTerm& term, simd::Lane& lane) {
     if (term.column != nullptr) {
       if (term.column->kind != ColumnKind::kNumber) return false;
-      lane.col = term.column->numbers.data();
-      op.patch_present[op.patch_count++] = term.column->present.data();
+      lane.col = term.column->numbers.data() + (first_word << 6);
+      op.patch_present[op.patch_count++] = term.column->present.data() + first_word;
       return true;
     }
     if (term.fallback.kind != Value::Kind::kNumber) return false;
@@ -531,8 +543,8 @@ void classify_op(ResolvedOp& op) {
                               std::uint32_t& constant) {
     if (term.column != nullptr) {
       if (term.column->kind != ColumnKind::kText) return false;
-      col = term.column->texts.data();
-      op.patch_present[op.patch_count++] = term.column->present.data();
+      col = term.column->texts.data() + (first_word << 6);
+      op.patch_present[op.patch_count++] = term.column->present.data() + first_word;
       return true;
     }
     if (term.fallback.kind != Value::Kind::kText) return false;
@@ -661,12 +673,12 @@ std::uint64_t key_hash(std::uint64_t h, KeyCell cell) {
 /// filter runs on every alive row instead, which costs speed, never a
 /// verdict. Calls stay on this thread: registered filters make no
 /// thread-safety promise.
-void apply_custom_filter(const CoreTable& table, const CoreFilter& filter, const Bindings& bound,
-                         std::uint64_t* mask, bool parallel, support::Arena& arena,
-                         telemetry::Telemetry& telemetry) {
-  DSLAYER_REQUIRE(table.rows() < std::numeric_limits<std::uint32_t>::max(),
+void apply_custom_filter(const CoreTable& table, std::size_t first_word, std::size_t words,
+                         const CoreFilter& filter, const Bindings& bound, std::uint64_t* mask,
+                         bool parallel, support::Arena& arena, telemetry::Telemetry& telemetry) {
+  const std::size_t base = first_word << 6;
+  DSLAYER_REQUIRE(words * 64 < std::numeric_limits<std::uint32_t>::max(),
                   "filter groups index rows as u32");
-  const std::size_t words = table.words();
   // Declared columns some alive row carries; a property absent from every
   // alive row cannot tell rows apart.
   const Column** columns = arena.alloc_array<const Column*>(filter.reads.size());
@@ -677,7 +689,9 @@ void apply_custom_filter(const CoreTable& table, const CoreFilter& filter, const
                                : table.metric_column(read.symbol);
     if (column == nullptr) continue;
     std::uint64_t any = 0;
-    for (std::size_t w = 0; w < words && any == 0; ++w) any = column->present[w] & mask[w];
+    for (std::size_t w = 0; w < words && any == 0; ++w) {
+      any = column->present[first_word + w] & mask[w];
+    }
     if (any != 0) columns[column_count++] = column;
   }
   const auto for_each_alive = [&](const auto& fn) {
@@ -697,7 +711,8 @@ void apply_custom_filter(const CoreTable& table, const CoreFilter& filter, const
       with_cell_reader(*columns[c], [&](const auto& a) {
         with_cell_reader(*columns[c + 1 < column_count ? c + 1 : c], [&](const auto& b) {
           for (std::size_t bit = 0; bit < 64; ++bit) {
-            h[bit] = key_hash(key_hash(h[bit], a((w << 6) + bit)), b((w << 6) + bit));
+            const std::size_t row = base + (w << 6) + bit;
+            h[bit] = key_hash(key_hash(h[bit], a(row)), b(row));
           }
         });
       });
@@ -750,8 +765,8 @@ void apply_custom_filter(const CoreTable& table, const CoreFilter& filter, const
         with_cell_reader(*columns[c + 1 < column_count ? c + 1 : c], [&](const auto& b) {
           for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
             const std::size_t row = (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-            const std::size_t first = first_row[group[row]];
-            if (!(a(row) == a(first)) || !(b(row) == b(first))) {
+            const std::size_t first = base + first_row[group[row]];
+            if (!(a(base + row) == a(first)) || !(b(base + row) == b(first))) {
               collided.store(true, std::memory_order_relaxed);
             }
           }
@@ -768,7 +783,7 @@ void apply_custom_filter(const CoreTable& table, const CoreFilter& filter, const
     std::uint8_t& v = verdict[group[row]];
     if (v == 0 || per_row) {
       telemetry.count(telemetry::EventKind::kFilterCall);
-      v = filter.accepts(FilterView(*table.cores()[row], filter.reads), bound) ? 1 : 2;
+      v = filter.accepts(FilterView(*table.cores()[base + row], filter.reads), bound) ? 1 : 2;
     }
     if (v == 2) mask[w] &= ~(std::uint64_t{1} << (row & 63));
   });
@@ -784,7 +799,7 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
   DSLAYER_FAILPOINT("dsl.candidates.sweep");
   support::cancellation_checkpoint();
   const CoreTable& table = plan.table;
-  const std::size_t rows = table.rows();
+  const std::size_t rows = plan.rows();
   telemetry.count(EventKind::kComplianceCheck, rows);
   // Sweep span for sampled request traces (one thread-local load when
   // untraced); nests under the executor's execute span.
@@ -795,7 +810,11 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
   if (rows == 0) return {};
 
   const simd::KernelOps& kops = simd::kernels();
-  const std::size_t words = table.words();
+  // The sweep covers the table words the plan's range touches: mask word
+  // w is table word first_word + w, holding rows base + 64 * w onwards.
+  const std::size_t first_word = plan.begin >> 6;
+  const std::size_t words = ((plan.end - 1) >> 6) + 1 - first_word;
+  const std::size_t base = first_word << 6;
 
   // All per-sweep scratch (survivor mask, resolved terms, filter key
   // tables) lives in this thread's bump arena and is released, not
@@ -803,9 +822,11 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
   support::Arena& arena = support::Arena::scratch();
   support::ArenaScope scratch_scope(arena);
 
+  // Every row of the range starts alive; the edge words are clipped to it.
   std::uint64_t* mask = arena.alloc_array<std::uint64_t>(words);
-  std::fill(mask, mask + words, ~std::uint64_t{0});
-  if ((rows & 63) != 0) mask[words - 1] = (std::uint64_t{1} << (rows & 63)) - 1;  // clip tail
+  for (std::size_t w = 0; w < words; ++w) {
+    mask[w] = range_bits(first_word + w, plan.begin, plan.end);
+  }
 
   const bool parallel = rows >= columnar_parallel_threshold();
   const auto clear_all = [&] { std::fill(mask, mask + words, 0); };
@@ -827,8 +848,8 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
           return;
         }
         const simd::Lane wanted{nullptr, eq.value.as_number()};
-        const double* numbers = column->numbers.data();
-        const std::uint64_t* present = column->present.data();
+        const double* numbers = column->numbers.data() + base;
+        const std::uint64_t* present = column->present.data() + first_word;
         for_each_word(words, parallel, [&](std::size_t w) {
           mask[w] &= present[w] & kops.cmp_num(simd::Lane{numbers + (w << 6)}, simd::Lane{},
                                                false, simd::Cmp::kEq, wanted);
@@ -846,8 +867,8 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
           return;
         }
         const support::Symbol symbol = *wanted;
-        const std::uint32_t* texts = column->texts.data();
-        const std::uint64_t* present = column->present.data();
+        const std::uint32_t* texts = column->texts.data() + base;
+        const std::uint64_t* present = column->present.data() + first_word;
         for_each_word(words, parallel, [&](std::size_t w) {
           mask[w] &= present[w] & kops.eq_sym(texts + (w << 6), nullptr, symbol, false);
         });
@@ -855,7 +876,7 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
       }
       case ColumnKind::kMixed:
         sweep_rows(mask, words, parallel, [&](std::size_t row) {
-          return column->has(row) && column->values[row] == eq.value;
+          return column->has(base + row) && column->values[base + row] == eq.value;
         });
         return;
     }
@@ -875,8 +896,8 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
     }
     const simd::Cmp reject = bound.at_most ? simd::Cmp::kGt : simd::Cmp::kLt;
     const simd::Lane limit{nullptr, bound.bound};
-    const double* numbers = column->numbers.data();
-    const std::uint64_t* present = column->present.data();
+    const double* numbers = column->numbers.data() + base;
+    const std::uint64_t* present = column->present.data() + first_word;
     for_each_word(words, parallel, [&](std::size_t w) {
       mask[w] &= present[w] & ~kops.cmp_num(simd::Lane{numbers + (w << 6)}, simd::Lane{},
                                             false, reject, limit);
@@ -886,7 +907,8 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
   // Step 2c: custom filters, each called once per distinct key of the
   // columns it declares.
   for (const CoreFilter* filter : query.custom) {
-    apply_custom_filter(table, *filter, *query.bound, mask, parallel, arena, telemetry);
+    apply_custom_filter(table, first_word, words, *filter, *query.bound, mask, parallel, arena,
+                        telemetry);
   }
 
   // Step 3: predicate constraints in index order. Evaluating each over
@@ -907,7 +929,7 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
       ResolvedTerm* references = arena.alloc_array<ResolvedTerm>(ref_count);
       for (std::size_t i = 0; i < ref_count; ++i) {
         ::new (static_cast<void*>(references + i))
-            ResolvedTerm(resolve_term(table, predicate.references[i], *query.bound));
+            ResolvedTerm(resolve_term(predicate.references[i], *query.bound));
       }
       const std::size_t op_count = predicate.ops.size();
       ResolvedOp* ops = arena.alloc_array<ResolvedOp>(op_count);
@@ -915,13 +937,13 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
         const CompiledPredicate::Op& op = predicate.ops[i];
         ResolvedOp* resolved = ::new (static_cast<void*>(ops + i)) ResolvedOp();
         resolved->cmp = op.cmp;
-        resolved->lhs = resolve_term(table, op.lhs, *query.bound);
+        resolved->lhs = resolve_term(op.lhs, *query.bound);
         if (op.has_factor) {
-          resolved->factor = resolve_term(table, op.factor, *query.bound);
+          resolved->factor = resolve_term(op.factor, *query.bound);
           resolved->has_factor = true;
         }
-        resolved->rhs = resolve_term(table, op.rhs, *query.bound);
-        classify_op(*resolved);
+        resolved->rhs = resolve_term(op.rhs, *query.bound);
+        classify_op(*resolved, first_word);
       }
       for_each_word(words, parallel, [&](std::size_t w) {
         const std::uint64_t alive = mask[w];
@@ -934,7 +956,7 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
           const ResolvedTerm& reference = references[i];
           std::uint64_t avail =
               reference.fallback.kind != Value::Kind::kEmpty ? ~std::uint64_t{0} : 0;
-          if (reference.column != nullptr) avail |= reference.column->present[w];
+          if (reference.column != nullptr) avail |= reference.column->present[first_word + w];
           evaluable &= avail;
         }
         std::uint64_t viol = alive & evaluable;  // violated iff every atom holds
@@ -965,7 +987,7 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
           while (bits != 0) {
             const int bit = std::countr_zero(bits);
             const std::uint64_t one = std::uint64_t{1} << bit;
-            if (op_holds_row(op, (w << 6) + static_cast<std::size_t>(bit))) {
+            if (op_holds_row(op, base + (w << 6) + static_cast<std::size_t>(bit))) {
               holds |= one;
             } else {
               holds &= ~one;
@@ -986,7 +1008,7 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
       BindingsOverlay overlay(merged);
       std::uint64_t overlay_writes = 0;
       sweep_rows(mask, words, false, [&](std::size_t row) {
-        overlay_writes += overlay.apply(*table.cores()[row]);
+        overlay_writes += overlay.apply(*table.cores()[base + row]);
         const bool keep = !predicate.constraint->violated(merged);
         overlay.revert();
         return keep;
@@ -1001,7 +1023,7 @@ std::vector<const Core*> run_core_filter(const CoreFilterPlan& plan, const Filte
     std::uint64_t bits = mask[w];
     while (bits != 0) {
       const int bit = std::countr_zero(bits);
-      survivors.push_back(table.cores()[(w << 6) + static_cast<std::size_t>(bit)]);
+      survivors.push_back(table.cores()[base + (w << 6) + static_cast<std::size_t>(bit)]);
       bits &= bits - 1;
     }
   }

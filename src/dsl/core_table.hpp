@@ -5,8 +5,9 @@
 // merged-bindings map per core, and an opaque violated() call per
 // (core, predicate). This file is the data-oriented replacement:
 //
-//  * CoreTable — a structure-of-arrays snapshot of one CDO subtree's
-//    cores. One contiguous column per bound property / metric (keyed by
+//  * CoreTable — a structure-of-arrays image of the layer's indexed cores
+//    (DesignSpaceLayer::indexed_cores(), hierarchy pre-order), one per
+//    layer. One contiguous column per bound property / metric (keyed by
 //    interned Symbol), each with a presence bitmap (64 rows per word).
 //    Columns are typed: all-number and all-text columns store raw
 //    doubles / interned symbols; mixed-kind columns degrade to Values.
@@ -17,13 +18,15 @@
 //    PredicateAtom) lowered once per index generation to column indexes
 //    and comparison opcodes. Opaque lambda predicates stay uncompiled
 //    and are evaluated row-wise through a BindingsOverlay.
-//  * CoreFilterPlan — CoreTable + one CompiledPredicate per predicate
-//    constraint of the CDO's ConstraintIndex, built lazily by
+//  * CoreFilterPlan — the CDO's row range of the table (its subtree is
+//    one contiguous run of the pre-order) + one CompiledPredicate per
+//    predicate constraint of the CDO's ConstraintIndex, built lazily by
 //    DesignSpaceLayer::filter_plan() and primed by SharedLayer before
 //    an epoch publishes.
 //  * run_core_filter — evaluates a FilterQuery (the session's decided
-//    issues, requirements, and bindings snapshot) over a plan with a
-//    survivor bitmask, predicate by predicate. Hot predicate shapes
+//    issues, requirements, and bindings snapshot) over a plan's rows with
+//    a survivor bitmask over the range's words (edge words masked to the
+//    range), predicate by predicate. Hot predicate shapes
 //    (numeric compare vs constant / column with optional factor, text
 //    symbol equality) run through the runtime-selected SIMD kernel one
 //    64-row word at a time; rows a word kernel cannot decide (absent
@@ -32,7 +35,7 @@
 //    bit-identical to a scalar sweep. Per-sweep scratch (the survivor
 //    mask, resolved terms, filter key tables) comes from the calling
 //    thread's bump arena (support/arena.hpp) — a steady-state sweep
-//    performs no heap allocation. Tables larger than
+//    performs no heap allocation. Ranges larger than
 //    columnar_parallel_threshold() split into 64-row-aligned chunks on
 //    support::ChunkPool::shared(); chunks never share a mask word, so
 //    workers write disjoint memory and results are deterministic.
@@ -50,6 +53,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -122,16 +126,7 @@ template <typename T>
 class ColumnData {
  public:
   ColumnData() = default;
-  ColumnData(const ColumnData& other) { *this = other; }
   ColumnData(ColumnData&& other) noexcept { *this = std::move(other); }
-  ColumnData& operator=(const ColumnData& other) {
-    if (this == &other) return *this;
-    owned_ = other.owned_;
-    size_ = other.size_;
-    aliased_ = other.aliased_;
-    data_ = aliased_ ? other.data_ : owned_.data();
-    return *this;
-  }
   ColumnData& operator=(ColumnData&& other) noexcept {
     if (this == &other) return *this;
     owned_ = std::move(other.owned_);
@@ -175,13 +170,10 @@ class ColumnData {
     aliased_ = false;
   }
 
-  T* data() { return data_; }  ///< writes valid only while owned
   const T* data() const { return data_; }
   T& operator[](std::size_t i) { return data_[i]; }
   const T& operator[](std::size_t i) const { return data_[i]; }
   std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  bool aliased() const { return aliased_; }
   /// Heap bytes held (0 when aliasing a file-backed buffer) — what
   /// memory_bytes() sums.
   std::size_t resident_bytes() const {
@@ -216,11 +208,12 @@ class CoreTable {
     }
   };
 
-  /// Snapshots `cores` (row order preserved — it is the candidates()
-  /// output order). Text values are interned as they are stored. Column
+  /// Builds the columns of `cores`, one row per core in order (the
+  /// candidates() output order). References `cores`, which must outlive
+  /// the table. Text values are interned as they are stored. Column
   /// payloads are fully sized up front from the core count (padded to
   /// whole 64-row words for the SIMD kernels).
-  explicit CoreTable(const std::vector<const Core*>& cores);
+  explicit CoreTable(std::span<const Core* const> cores);
 
   /// Bulk-restore for snapshot load (src/storage/snapshot.cpp): adopts
   /// pre-built columns whose payloads may alias an external buffer pinned
@@ -228,12 +221,11 @@ class CoreTable {
   /// row/column semantics are the caller's responsibility — the snapshot
   /// format stores columns exactly as the building constructor lays them
   /// out.
-  CoreTable(std::vector<const Core*> cores, std::vector<Column> binding_columns,
+  CoreTable(std::span<const Core* const> cores, std::vector<Column> binding_columns,
             std::vector<Column> metric_columns, std::shared_ptr<const void> keepalive);
 
   std::size_t rows() const { return cores_.size(); }
-  std::size_t words() const { return words_; }
-  const std::vector<const Core*>& cores() const { return cores_; }
+  std::span<const Core* const> cores() const { return cores_; }
 
   /// Binding / metric column for a symbol; nullptr if no indexed core
   /// binds it. References are stable for the table's lifetime. Lookup is
@@ -241,16 +233,14 @@ class CoreTable {
   const Column* binding_column(support::Symbol symbol) const;
   const Column* metric_column(support::Symbol symbol) const;
 
-  std::size_t binding_column_count() const { return binding_columns_.size(); }
-  std::size_t metric_column_count() const { return metric_columns_.size(); }
-
   /// Column directories in slot order — the snapshot writer walks these.
   const std::vector<Column>& binding_columns() const { return binding_columns_; }
   const std::vector<Column>& metric_columns() const { return metric_columns_; }
 
-  /// Approximate resident bytes of the snapshot (payloads + bitmaps +
-  /// row pointers + indexes). Deterministic for a given library, which
-  /// is what lets the bench gate bytes_per_core like a counter.
+  /// Approximate resident bytes of the table (payloads + bitmaps +
+  /// indexes; the row array belongs to the layer). Deterministic for a
+  /// given library, which is what lets the bench gate bytes_per_core like
+  /// a counter.
   std::size_t memory_bytes() const;
 
  private:
@@ -265,7 +255,7 @@ class CoreTable {
   void store(Column& column, std::size_t row, const Value& value);
   void degrade_to_mixed(Column& column);
 
-  std::vector<const Core*> cores_;
+  std::span<const Core* const> cores_;
   std::size_t words_ = 0;
   std::size_t padded_rows_ = 0;  ///< words_ * 64
   std::vector<Column> binding_columns_;
@@ -275,16 +265,17 @@ class CoreTable {
   std::shared_ptr<const void> keepalive_;  ///< pins aliased payload backing
 };
 
-/// One predicate constraint lowered against a CoreTable. `compiled` is
+/// One predicate constraint lowered against a plan's rows. `compiled` is
 /// false for opaque lambda predicates (evaluated row-wise instead).
 struct CompiledPredicate {
   /// A property reference or constant inside an atom, resolved against
-  /// the table: `column` >= 0 means a binding column exists for the
-  /// symbol; the constant payload covers literals (session fallbacks are
+  /// the plan: `column` is the binding column if it has a present row in
+  /// the plan's range (else null: the term falls back to the session
+  /// value); the constant payload covers literals (session fallbacks are
   /// resolved per query, not here).
   struct Term {
     support::Symbol symbol = support::kNoSymbol;  ///< kNoSymbol => pure constant
-    std::int32_t column = -1;                     ///< >= 0: table has a binding column
+    const CoreTable::Column* column = nullptr;
     Value::Kind const_kind = Value::Kind::kEmpty;
     double number = 0.0;
     support::Symbol text = support::kNoSymbol;
@@ -306,23 +297,20 @@ struct CompiledPredicate {
   std::vector<Op> ops;
 };
 
-/// Everything candidates() needs for one CDO, built once per index
-/// generation: the columnar table over cores_under(cdo) plus one
-/// CompiledPredicate per ConstraintIndex predicate (same order).
+/// Everything candidates() needs for one CDO: the rows [begin, end) of
+/// the layer's table that are cores_under(cdo), plus one
+/// CompiledPredicate per ConstraintIndex predicate (same order). Compiled
+/// once per constraint set; the table is shared by every plan.
 struct CoreFilterPlan {
-  CoreTable table;
+  const CoreTable& table;
+  std::size_t begin = 0;
+  std::size_t end = 0;
   std::vector<CompiledPredicate> predicates;
 
-  CoreFilterPlan(const std::vector<const Core*>& cores,
+  CoreFilterPlan(const CoreTable& table, std::size_t begin, std::size_t end,
                  const std::vector<const ConsistencyConstraint*>& predicate_constraints);
 
-  /// Adopts an already-built (snapshot-restored) table and compiles the
-  /// predicate programs against it — plan restore never re-scans cores.
-  CoreFilterPlan(CoreTable restored,
-                 const std::vector<const ConsistencyConstraint*>& predicate_constraints);
-
- private:
-  void compile(const std::vector<const ConsistencyConstraint*>& predicate_constraints);
+  std::size_t rows() const { return end - begin; }
 };
 
 /// The session side of a columnar filter run: the decided design issues,

@@ -439,7 +439,7 @@ std::vector<const Core*> ExplorationSession::compute_candidates_legacy() const {
   // Chaos/deadline hook: a delay armed here stalls the scan so a request
   // deadline can expire mid-sweep and hit the per-core checkpoint below.
   DSLAYER_FAILPOINT("dsl.candidates.sweep");
-  const std::vector<const Core*>& cores = layer_->cores_under(*current_);
+  const std::span<const Core* const> cores = layer_->cores_under(*current_);
   const Bindings& bound = bindings();
   const ConstraintIndex& idx = layer_->constraint_index(*current_);
 
@@ -729,7 +729,8 @@ void ExplorationSession::record(EventKind kind, const std::string& subject, std:
   event.kind = kind;
   event.subject = subject;
   event.detail = std::move(detail);
-  event.seq = telemetry_.emit(kind, event.subject, event.detail);
+  telemetry_.emit(kind, event.subject, event.detail);
+  event.seq = ++journal_lines_;
   journal_ += telemetry::to_jsonl(event);
   journal_ += '\n';
 }

@@ -208,7 +208,9 @@ class ExplorationSession {
   /// RequirementSet, Decision, Retract, Reaffirm) since construction, in
   /// order, unbounded. Each line is appended as its event is emitted, so
   /// reading the journal costs nothing; the reference is valid until the
-  /// session is destroyed.
+  /// session is destroyed. A line's `seq` is its 1-based ordinal in the
+  /// journal (the hub's own sequence also counts cache and timing
+  /// events), so replay(layer, J).export_journal() == J.
   const std::string& export_journal() const { return journal_; }
 
   /// Rebuilds a session from a JSONL journal: the first event must be
@@ -259,8 +261,8 @@ class ExplorationSession {
   void scan_conflicts(const std::string& name);
   void invalidate_dependents(const std::string& name);
   void log(std::string message);
-  /// Emits one state-mutating event and appends its JSONL line to the
-  /// journal.
+  /// Emits one state-mutating event and appends its JSONL line, numbered
+  /// by its ordinal in the journal, to the journal.
   void record(telemetry::EventKind kind, const std::string& subject, std::string detail = {});
 
   /// Invalidates the memoized queries (bump after every value or scope
@@ -290,6 +292,7 @@ class ExplorationSession {
 
   mutable telemetry::Telemetry telemetry_;
   std::string journal_;  // JSONL, see export_journal()
+  std::uint64_t journal_lines_ = 0;
 };
 
 }  // namespace dslayer::dsl

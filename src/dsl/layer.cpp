@@ -9,7 +9,6 @@
 namespace dslayer::dsl {
 
 namespace {
-const std::vector<const Core*> kNoCores;
 const std::vector<const ConsistencyConstraint*> kNoConstraints;
 }  // namespace
 
@@ -63,15 +62,12 @@ ReuseLibrary* DesignSpaceLayer::library(const std::string& name) {
 }
 
 std::size_t DesignSpaceLayer::index_cores() {
-  index_.clear();
-  core_cdo_.clear();
-  subtree_index_.clear();
-  filter_plans_.clear();  // plans snapshot the subtree core lists
+  telemetry::ScopedTimer timer(&telemetry_, "index_cores");
   index_warnings_.clear();
   std::size_t total = 0;
   for (const auto& lib : libraries_) total += lib->size();
-  core_cdo_.reserve(total);
-  std::size_t indexed = 0;
+  std::vector<std::pair<const Core*, const Cdo*>> assignments;
+  assignments.reserve(total);
   for (const auto& lib : libraries_) {
     for (const Core* core : lib->cores()) {
       Cdo* cdo = space_.find(core->class_path());
@@ -104,92 +100,74 @@ std::size_t DesignSpaceLayer::index_cores() {
         }
         cdo = child;
       }
-      index_[cdo].push_back(core);
-      core_cdo_[core] = cdo;
-      ++indexed;
+      assignments.emplace_back(core, cdo);
     }
   }
-  // Cumulative subtree index: one pre-order pass per root accumulates the
-  // cores of every descendant, replacing the per-call subtree() walk that
-  // cores_under() used to do.
-  telemetry::ScopedTimer timer(&telemetry_, "index_cores");
-  telemetry_.emit(telemetry::EventKind::kIndexRebuild, "subtree-core-index",
-                  cat(indexed, " cores"));
-  for (const Cdo* root : space_.roots()) build_subtree_index(*root);
-  return indexed;
+  restore_index(assignments);
+  telemetry_.emit(telemetry::EventKind::kIndexRebuild, "core-order",
+                  cat(assignments.size(), " cores"));
+  return assignments.size();
 }
 
 void DesignSpaceLayer::restore_index(
     const std::vector<std::pair<const Core*, const Cdo*>>& assignments) {
-  index_.clear();
+  filter_plans_.clear();  // plans point into the table, the table into order_
+  table_.reset();
+  ranges_.clear();
   core_cdo_.clear();
-  subtree_index_.clear();
-  filter_plans_.clear();
-  index_warnings_.clear();
-  core_cdo_.reserve(assignments.size());
-  // Assignments arrive in library/core order, so runs of the same CDO are
-  // long (a bulk-loaded library usually indexes under one class); caching
-  // the bucket skips a map walk per core.
-  const Cdo* last_cdo = nullptr;
-  std::vector<const Core*>* bucket = nullptr;
-  for (const auto& [core, cdo] : assignments) {
-    if (cdo != last_cdo) {
-      bucket = &index_[cdo];
-      last_cdo = cdo;
+  // A stable counting sort into pre-order: count each CDO's own cores, lay
+  // the ranges out depth-first, then drop every core at its CDO's cursor.
+  std::unordered_map<const Cdo*, std::size_t> cursor;
+  for (const auto& [core, cdo] : assignments) ++cursor[cdo];
+  std::size_t at = 0;
+  const auto lay_out = [&](const auto& self, const Cdo& cdo) -> void {
+    CoreRange& range = ranges_[&cdo];
+    range.begin = at;
+    if (const auto it = cursor.find(&cdo); it != cursor.end()) {
+      at += it->second;
+      it->second = range.begin;
     }
-    bucket->push_back(core);
+    range.own_end = at;
+    for (const Cdo* child : cdo.children()) self(self, *child);
+    range.end = at;
+  };
+  for (const Cdo* root : space_.roots()) lay_out(lay_out, *root);
+  DSLAYER_REQUIRE(at == assignments.size(), "every indexed core resolves to a CDO of the space");
+  order_.assign(assignments.size(), nullptr);
+  core_cdo_.reserve(assignments.size());
+  for (const auto& [core, cdo] : assignments) {
+    order_[cursor[cdo]++] = core;
     core_cdo_.emplace(core, cdo);
   }
-  for (const Cdo* root : space_.roots()) build_subtree_index(*root);
 }
 
-const CoreFilterPlan* DesignSpaceLayer::peek_filter_plan(const Cdo& cdo) const {
-  const auto it = filter_plans_.find(&cdo);
-  return it == filter_plans_.end() ? nullptr : it->second.get();
-}
-
-void DesignSpaceLayer::install_filter_plan(const Cdo& cdo, CoreTable table) const {
-  filter_plans_[&cdo] =
-      std::make_unique<CoreFilterPlan>(std::move(table), constraint_index(cdo).predicates);
+void DesignSpaceLayer::install_core_table(std::vector<CoreTable::Column> binding_columns,
+                                          std::vector<CoreTable::Column> metric_columns,
+                                          std::shared_ptr<const void> keepalive) const {
+  filter_plans_.clear();
+  table_ = std::make_unique<CoreTable>(order_, std::move(binding_columns),
+                                       std::move(metric_columns), std::move(keepalive));
 }
 
 void DesignSpaceLayer::clear_catalog() {
+  restore_index({});
   libraries_.clear();
-  index_.clear();
-  core_cdo_.clear();
-  subtree_index_.clear();
-  filter_plans_.clear();
   index_warnings_.clear();
 }
 
-const std::vector<const Core*>& DesignSpaceLayer::build_subtree_index(const Cdo& cdo) const {
-  std::vector<const Core*> out;
-  if (const auto it = index_.find(&cdo); it != index_.end()) {
-    out.insert(out.end(), it->second.begin(), it->second.end());
-  }
-  for (const Cdo* child : cdo.children()) {
-    const auto& sub = build_subtree_index(*child);
-    out.insert(out.end(), sub.begin(), sub.end());
-  }
-  return subtree_index_[&cdo] = std::move(out);
+DesignSpaceLayer::CoreRange DesignSpaceLayer::range_of(const Cdo& cdo) const {
+  const auto it = ranges_.find(&cdo);
+  return it == ranges_.end() ? CoreRange{} : it->second;
 }
 
-const std::vector<const Core*>& DesignSpaceLayer::cores_at(const Cdo& cdo) const {
-  const auto it = index_.find(&cdo);
-  return it == index_.end() ? kNoCores : it->second;
+std::span<const Core* const> DesignSpaceLayer::cores_at(const Cdo& cdo) const {
+  const CoreRange range = range_of(cdo);
+  return std::span<const Core* const>(order_).subspan(range.begin, range.own_end - range.begin);
 }
 
-const std::vector<const Core*>& DesignSpaceLayer::cores_under(const Cdo& cdo) const {
-  const auto it = subtree_index_.find(&cdo);
-  if (it != subtree_index_.end()) {
-    telemetry_.count(telemetry::EventKind::kCacheHit);
-    return it->second;
-  }
-  // CDO created (or queried) after the last index_cores() pass: index its
-  // subtree on demand.
-  telemetry_.count(telemetry::EventKind::kCacheMiss);
-  telemetry_.count(telemetry::EventKind::kIndexRebuild);
-  return build_subtree_index(cdo);
+std::span<const Core* const> DesignSpaceLayer::cores_under(const Cdo& cdo) const {
+  const CoreRange range = range_of(cdo);
+  return std::span<const Core* const>(order_).subspan(range.begin, range.end - range.begin);
 }
 
 const Cdo* DesignSpaceLayer::indexed_cdo(const Core& core) const {
@@ -204,7 +182,8 @@ void DesignSpaceLayer::add_constraint(ConsistencyConstraint cc) {
   constraints_.push_back(std::move(cc));
   // The adjacency lists hold pointers into constraints_, so any growth
   // (reallocation) invalidates every cached index — and every filter
-  // plan, whose compiled programs point at the same constraints.
+  // plan, whose compiled programs point at the same constraints. The
+  // core table holds no constraint and stays.
   constraint_index_.clear();
   filter_plans_.clear();
 }
@@ -217,7 +196,10 @@ const CoreFilterPlan& DesignSpaceLayer::filter_plan(const Cdo& cdo) const {
   telemetry_.count(telemetry::EventKind::kCacheMiss);
   telemetry_.count(telemetry::EventKind::kIndexRebuild);
   telemetry::ScopedTimer timer(&telemetry_, "filter_plan");
-  auto plan = std::make_unique<CoreFilterPlan>(cores_under(cdo), constraint_index(cdo).predicates);
+  if (table_ == nullptr) table_ = std::make_unique<CoreTable>(order_);
+  const CoreRange range = range_of(cdo);
+  auto plan = std::make_unique<CoreFilterPlan>(*table_, range.begin, range.end,
+                                               constraint_index(cdo).predicates);
   return *(filter_plans_[&cdo] = std::move(plan));
 }
 

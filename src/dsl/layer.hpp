@@ -10,13 +10,16 @@
 // path and descends the generalization hierarchy as far as its bindings
 // answer the generalized issues — ending at the most specific family of
 // design alternatives it belongs to. Cores whose class path or option
-// bindings do not resolve are reported, not silently dropped.
+// bindings do not resolve are reported, not silently dropped. Indexed cores
+// are laid out in hierarchy pre-order, so every CDO's region is one row
+// range of that array and of the one CoreTable over it.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -82,42 +85,35 @@ class DesignSpaceLayer {
   ReuseLibrary* library(const std::string& name);
 
   /// (Re)indexes every core of every library onto the CDO hierarchy and
-  /// rebuilds the cumulative per-CDO subtree core index behind
-  /// cores_under(). Returns the number of cores indexed; resolution
-  /// problems are appended to index_warnings().
+  /// lays the indexed cores out in hierarchy pre-order (indexed_cores()).
+  /// Returns the number of cores indexed; resolution problems are
+  /// appended to index_warnings().
   std::size_t index_cores();
 
-  /// Bulk-restores the core -> CDO assignment recorded by a snapshot
-  /// (src/storage/snapshot.cpp) without re-deriving it: fills the forward
-  /// and reverse indexes in the given order (which must be the
-  /// index_cores() visit order — libraries in attach order, cores in add
-  /// order), rebuilds the cumulative subtree index, and drops every cached
-  /// filter plan so install_filter_plan() can repopulate them.
+  /// Lays out (core, CDO) assignments in index_cores() visit order
+  /// (libraries in attach order, cores in add order): index_cores() after
+  /// resolving them, a snapshot load (src/storage/snapshot.cpp) from the
+  /// recorded ones. Drops the core table (install_core_table() can
+  /// restore it) and every filter plan.
   void restore_index(const std::vector<std::pair<const Core*, const Cdo*>>& assignments);
-
-  /// The cached filter plan for a CDO, or nullptr if none is built. Never
-  /// builds — safe under the service's shared read lock (the snapshot
-  /// writer runs there).
-  const CoreFilterPlan* peek_filter_plan(const Cdo& cdo) const;
-
-  /// Installs a snapshot-restored table as the CDO's filter plan (the
-  /// predicate programs are compiled here against the current
-  /// constraints). Replaces any cached plan.
-  void install_filter_plan(const Cdo& cdo, CoreTable table) const;
 
   /// Drops every reuse library and all core indexes; the hierarchy,
   /// constraints, estimators, and domain hooks (all code) survive. The
   /// `!restore` path reloads a snapshot into the emptied layer.
   void clear_catalog();
 
+  /// Every indexed core in CDO-hierarchy pre-order: a CDO's own cores (in
+  /// visit order), then each child's subtree. cores_at(), cores_under()
+  /// and every filter plan are row ranges of it. Stable until re-index.
+  std::span<const Core* const> indexed_cores() const { return order_; }
+
   /// Cores indexed exactly at this CDO.
-  const std::vector<const Core*>& cores_at(const Cdo& cdo) const;
+  std::span<const Core* const> cores_at(const Cdo& cdo) const;
 
   /// Cores indexed at this CDO or any descendant (the design-space region
-  /// the CDO represents). Served from the cumulative subtree index built by
-  /// index_cores(); the returned reference is stable until the next
-  /// index_cores() call.
-  const std::vector<const Core*>& cores_under(const Cdo& cdo) const;
+  /// the CDO represents), in indexed_cores() order. Empty for a CDO
+  /// created after the last index_cores() (no core can resolve to it).
+  std::span<const Core* const> cores_under(const Cdo& cdo) const;
 
   /// The CDO an indexed core resolved to (its most specific family);
   /// nullptr if the core was never indexed.
@@ -139,12 +135,25 @@ class DesignSpaceLayer {
   /// add_constraint(); new CDOs are indexed on first query.
   const ConstraintIndex& constraint_index(const Cdo& cdo) const;
 
-  /// The columnar filter plan for a CDO: the CoreTable over
-  /// cores_under(cdo) plus the compiled predicate programs (DESIGN.md
-  /// §10). Built lazily, invalidated by index_cores() and
-  /// add_constraint(); SharedLayer primes it before publishing an epoch.
-  /// The reference is stable until the next invalidation.
+  /// The columnar filter plan for a CDO: the cores_under(cdo) rows of the
+  /// layer's one CoreTable plus compiled predicate programs (DESIGN.md
+  /// §10). Built lazily; add_constraint() drops the plans but keeps the
+  /// table, re-indexing drops both. SharedLayer primes every plan before
+  /// publishing an epoch. Stable until the next invalidation.
   const CoreFilterPlan& filter_plan(const Cdo& cdo) const;
+
+  /// The columnar table over indexed_cores(), or nullptr until the first
+  /// filter_plan() builds it (or a snapshot installs it). Never builds —
+  /// safe under the service's shared read lock (the snapshot writer runs
+  /// there).
+  const CoreTable* peek_core_table() const { return table_.get(); }
+
+  /// Installs a snapshot-restored table over indexed_cores(): adopts its
+  /// columns, whose payloads may alias the buffer `keepalive` pins.
+  /// Drops every cached filter plan.
+  void install_core_table(std::vector<CoreTable::Column> binding_columns,
+                          std::vector<CoreTable::Column> metric_columns,
+                          std::shared_ptr<const void> keepalive) const;
 
   // -- estimation --------------------------------------------------------------
 
@@ -189,18 +198,25 @@ class DesignSpaceLayer {
 
   // -- observability ---------------------------------------------------------------
 
-  /// Counters for the layer-side caches (constraint index, subtree core
-  /// index): hits, misses, rebuilds. A view over the telemetry counters.
+  /// Counters for the layer-side caches (constraint index, core table,
+  /// filter plans): hits, misses, rebuilds. A view over the telemetry
+  /// counters.
   QueryStats query_stats() const { return stats_view(telemetry_); }
   void reset_query_stats() const { telemetry_.reset_counters(); }
 
   /// The layer's telemetry hub. Layer-side events are counter-only (the
-  /// subtree/constraint caches are hot and shared across sessions).
+  /// plan/constraint caches are hot and shared across sessions).
   telemetry::Telemetry& telemetry() const { return telemetry_; }
 
  private:
-  /// Builds (and caches) the cumulative core list of `cdo`'s subtree.
-  const std::vector<const Core*>& build_subtree_index(const Cdo& cdo) const;
+  /// Where a CDO's cores sit in order_: [begin, own_end) are indexed at
+  /// the CDO itself, [begin, end) under it.
+  struct CoreRange {
+    std::size_t begin = 0;
+    std::size_t own_end = 0;
+    std::size_t end = 0;
+  };
+  CoreRange range_of(const Cdo& cdo) const;
 
   std::string name_;
   DesignSpace space_;
@@ -208,10 +224,11 @@ class DesignSpaceLayer {
   std::vector<ConsistencyConstraint> constraints_;
   std::set<std::string> constraint_ids_;  // duplicate-id index
   estimation::EstimatorRegistry estimators_ = estimation::EstimatorRegistry::standard();
-  std::map<const Cdo*, std::vector<const Core*>> index_;
-  // Reverse of index_. Hash map with an up-front reserve: at catalog scale
-  // (1M cores) red-black nodes cost ~0.5 s to build and a pointer chase
-  // per indexed_cdo() — measurable in both index_cores() and snapshot boot.
+  std::vector<const Core*> order_;  // pre-order core array (indexed_cores())
+  std::unordered_map<const Cdo*, CoreRange> ranges_;
+  // The core -> CDO map behind indexed_cdo(). Hash map with an up-front
+  // reserve: at catalog scale (1M cores) red-black nodes cost ~0.5 s to
+  // build and a pointer chase per lookup.
   std::unordered_map<const Core*, const Cdo*> core_cdo_;
   std::vector<std::string> index_warnings_;
   std::map<std::string, CoreFilter> core_filters_;
@@ -220,10 +237,11 @@ class DesignSpaceLayer {
 
   // Lazily filled, invalidation-aware query indexes (mutable: queries are
   // logically const). constraint_index_ is cleared by add_constraint();
-  // subtree_index_ is rebuilt by index_cores() and filled on demand for
-  // CDOs created after the last indexing pass.
+  // table_ (rows = order_) only by re-indexing; the plans, which point
+  // into both the table and the constraints, by either. Declared after
+  // order_ so each is destroyed before what it points into.
   mutable std::map<const Cdo*, ConstraintIndex> constraint_index_;
-  mutable std::map<const Cdo*, std::vector<const Core*>> subtree_index_;
+  mutable std::unique_ptr<CoreTable> table_;
   // unique_ptr: plans must stay address-stable while sessions hold the
   // reference across map growth.
   mutable std::map<const Cdo*, std::unique_ptr<CoreFilterPlan>> filter_plans_;

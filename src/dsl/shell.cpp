@@ -320,7 +320,16 @@ int run_shell(const DesignSpaceLayer& layer, std::istream& in, std::ostream& out
   int failures = 0;
   std::string line;
   while (std::getline(in, line)) {
-    const ShellEngine::Status status = engine.execute(line, out);
+    ShellEngine::Status status;
+    try {
+      status = engine.execute(line, out);
+    } catch (const Error& e) {
+      // execute() rethrows only injected faults (FailpointError) and
+      // expired deadlines (DeadlineExceeded), for a service to answer;
+      // interactively each is one failed command.
+      out << "error: " << e.what() << "\n";
+      status = ShellEngine::Status::kError;
+    }
     if (status == ShellEngine::Status::kQuit) break;
     if (status == ShellEngine::Status::kError) ++failures;
   }

@@ -72,8 +72,11 @@ std::shared_ptr<SessionManager::Session> SessionManager::acquire(const std::stri
 bool SessionManager::migrate(Session& session, const std::string& name, std::ostream& out) {
   migrations_.add(1);
   session.epoch = shared_->epoch();
-  const std::string& journal = session.engine.journal_jsonl();
-  if (journal.empty()) return true;  // nothing to carry across the epoch
+  if (session.engine.journal_jsonl().empty()) return true;  // nothing to carry across
+  // A copy: the replay replaces the session that owns the journal.
+  const std::string journal = session.engine.journal_jsonl();
+  const bool file_holds_journal = session.persisted_session == session.engine.session_number() &&
+                                  session.persisted_bytes == journal.size();
   try {
     // Replay must run to completion or not at all: a request deadline
     // expiring mid-replay would otherwise leave a half-rebuilt session.
@@ -81,6 +84,7 @@ bool SessionManager::migrate(Session& session, const std::string& name, std::ost
     const support::DeadlineScope no_deadline{support::Deadline{}};
     DSLAYER_FAILPOINT("service.session.migrate");
     session.engine.restore_from_journal(journal);
+    if (file_holds_journal) adopt_file(session, journal);
     return true;
   } catch (const Error& e) {
     // The updated layer rejects part of the journaled history (e.g. a
@@ -102,10 +106,8 @@ bool SessionManager::restore(Session& session, const std::string& name, std::ost
     // Same all-or-nothing rule as migrate(): the caller's deadline must
     // not expire mid-replay and leave a half-rebuilt session.
     const support::DeadlineScope no_deadline{support::Deadline{}};
-    // Replay renumbers the events, so the journal differs from the file
-    // it came from: persisted_session stays 0 and the first persist
-    // rewrites whole.
     session.engine.restore_from_journal(journal);
+    adopt_file(session, journal);
     restored_.add(1);
     return true;
   } catch (const Error& e) {
@@ -118,6 +120,15 @@ bool SessionManager::restore(Session& session, const std::string& name, std::ost
         << e.what() << "\n";
     return false;
   }
+}
+
+void SessionManager::adopt_file(Session& session, const std::string& journal) {
+  // Journal lines are numbered by their ordinal, so a replay reproduces a
+  // journal this code wrote byte for byte; a file that does not replay to
+  // itself (another writer's numbering) is rewritten whole once.
+  if (session.engine.journal_jsonl() != journal) return;
+  session.persisted_session = session.engine.session_number();
+  session.persisted_bytes = journal.size();
 }
 
 void SessionManager::persist(Session& session, const std::string& name) {

@@ -137,10 +137,11 @@ class SessionManager {
     /// take).
     std::optional<std::string> pending_restore;
     /// The engine session_number() the durable file was last written
-    /// against, and how many journal bytes it holds. While the engine's
-    /// number matches, its journal extends the file and persist appends
-    /// the suffix; 0 (a restored session's first persist, or after a
-    /// failed write) forces an atomic whole rewrite.
+    /// against (or adopted by a restore/migration replay that rebuilt its
+    /// text exactly), and how many journal bytes it holds. While the
+    /// engine's number matches, its journal extends the file and persist
+    /// appends the suffix; 0 (after a failed write, or a file replay did
+    /// not reproduce) forces an atomic whole rewrite.
     std::uint64_t persisted_session = 0;
     std::size_t persisted_bytes = 0;
   };
@@ -164,6 +165,12 @@ class SessionManager {
   /// holds the session lock and the shared reader lock. Mirrors migrate():
   /// false leaves the session freshly closed with an "error: ..." line.
   bool restore(Session& session, const std::string& name, std::ostream& out);
+
+  /// After a replay rebuilt the session from `journal`, the durable file's
+  /// text: adopts the file as written against the new session when the
+  /// rebuilt journal is identical, so the next persist appends (or does
+  /// nothing) instead of rewriting the file.
+  static void adopt_file(Session& session, const std::string& journal);
 
   /// Persists the session's journal after a state-changing command; never
   /// throws (failures land in storage counters).

@@ -40,13 +40,12 @@ void SharedLayer::reindex_and_prime(bool inject, Reindex reindex) {
   if (inject) DSLAYER_FAILPOINT("service.shared_layer.prime");
   if (reindex == Reindex::kFull) layer_->index_cores();
   // Touch every lazily-built per-CDO cache so no reader ever takes the
-  // map-inserting miss path. cores_under() also covers cores_at() (both
-  // read indexes index_cores() just rebuilt).
+  // map-inserting miss path: the constraint index and the filter plan
+  // (the first plan builds the layer's one core table unless a snapshot
+  // restored it; every plan is a row range of it plus compiled predicate
+  // programs).
   for (const dsl::Cdo* cdo : layer_->space().all()) {
     (void)layer_->constraint_index(*cdo);
-    (void)layer_->cores_under(*cdo);
-    // Rebuild the columnar filter plan (table + compiled predicate
-    // programs) too, so post-publish candidate queries are pure hits.
     (void)layer_->filter_plan(*cdo);
   }
 }

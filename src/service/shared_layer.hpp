@@ -17,10 +17,10 @@
 // such sessions deterministically from their replay journals before
 // letting them touch the new layer (migration-by-replay).
 //
-// Why prime()? DesignSpaceLayer fills its per-CDO constraint and subtree
-// indexes lazily inside logically-const queries. A first-touch miss under
-// a shared lock would be a data race (two readers inserting into the same
-// std::map). prime() walks every CDO under the exclusive lock and touches
+// Why prime()? DesignSpaceLayer fills its per-CDO constraint indexes and
+// filter plans, and its core table, lazily inside logically-const queries.
+// A first-touch miss under a shared lock would be a data race (two
+// readers inserting into the same std::map). prime() walks every CDO under the exclusive lock and touches
 // every such cache, so readers only ever hit the populated, structurally
 // immutable fast path (const find + relaxed-atomic counter bumps).
 //
@@ -53,7 +53,7 @@ class SharedLayer {
     kFull,      ///< index_cores() + prime — any mutation may have happened
     kPreserve,  ///< prime only — the writer restored a snapshot index
                 ///< (dsl::DesignSpaceLayer::restore_index) that a re-index
-                ///< would discard, wasting the mmap'd tables it aliased
+                ///< would discard, wasting the mmap'd core table it aliased
   };
 
   /// Wraps (does not own) a fully built layer. Primes every query cache

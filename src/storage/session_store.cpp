@@ -102,10 +102,13 @@ std::optional<std::string> SessionStore::load(const std::string& session) const 
   if (!path_exists(path)) return std::nullopt;
   std::string text = read_file(path);
   // Drop a torn final line: a crash mid-append leaves a prefix without
-  // its newline, and a half-written JSON object must not be replayed.
+  // its newline, and a half-written JSON object must not be replayed. It
+  // is cut off the file too, so the file holds exactly the text returned
+  // and a later append continues it.
   if (!text.empty() && text.back() != '\n') {
     const std::size_t last_newline = text.find_last_of('\n');
     text.resize(last_newline == std::string::npos ? 0 : last_newline + 1);
+    File::open_readwrite(path).truncate(text.size());
   }
   return text;
 }

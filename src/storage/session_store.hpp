@@ -12,12 +12,12 @@
 // reversible, and safe on any filesystem.
 //
 // Write discipline: save() rewrites atomically (tmp + fsync + rename) when
-// the session was replaced (re-open, trace replay, migration compaction,
-// restore); append() extends the existing file for the common one-command
-// delta (SessionManager tells the two apart by the engine's session
-// number). Either way the record
-// boundary is the newline: load() drops an unterminated last line, so a
-// crash mid-write costs at most the final un-acknowledged command.
+// the session was replaced (re-open, trace replay, a replay that did not
+// reproduce the file); append() extends the existing file for the common
+// one-command delta (SessionManager tells the two apart by the engine's
+// session number). Either way the record boundary is the newline: load()
+// drops an unterminated last line (and cuts it off the file), so a crash
+// mid-write costs at most the final un-acknowledged command.
 //
 // Failpoint sites: storage.session.flush (before any write),
 // storage.session.rename (before the atomic rename).
@@ -46,7 +46,8 @@ class SessionStore {
   void append(const std::string& session, std::string_view jsonl_suffix);
 
   /// The persisted journal, or nullopt if the session has none. A torn
-  /// (newline-less) final line is dropped, not returned.
+  /// (newline-less) final line is dropped, not returned, and truncated
+  /// off the file, which then holds exactly the returned text.
   std::optional<std::string> load(const std::string& session) const;
 
   /// Deletes the session's journal (missing is fine: `!close` after a

@@ -25,7 +25,10 @@ namespace {
 using dslayer::cat;
 
 constexpr char kMagic[8] = {'D', 'S', 'L', 'S', 'N', 'A', 'P', '1'};
-constexpr std::uint32_t kVersion = 1;
+// Version 2 stores the layer's one core table in kTables; version 1 (still
+// loaded) stored one table per primed CDO there, which the loader skips.
+constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kPerCdoTablesVersion = 1;
 constexpr std::size_t kHeaderBytes = 32;
 constexpr std::size_t kDirEntryBytes = 32;
 constexpr std::size_t kAlign = 64;
@@ -116,6 +119,7 @@ bool table_is_persistable(const dsl::CoreTable& table) {
 
 struct ParsedFile {
   std::shared_ptr<MappedFile> mapping;
+  std::uint32_t version = 0;
   std::vector<DirEntry> directory;
 
   std::string_view section(std::uint32_t tag, bool required = true) const {
@@ -126,13 +130,6 @@ struct ParsedFile {
     }
     if (required) throw StorageError(cat("snapshot: missing section ", tag));
     return {};
-  }
-
-  const DirEntry* entry(std::uint32_t tag) const {
-    for (const DirEntry& e : directory) {
-      if (e.tag == tag) return &e;
-    }
-    return nullptr;
   }
 };
 
@@ -151,9 +148,10 @@ ParsedFile parse_file(const std::string& path, bool verify_payloads) {
   std::memcpy(&section_count, file.data() + 12, 4);
   std::memcpy(&file_bytes, file.data() + 16, 8);
   std::memcpy(&header_crc, file.data() + 24, 4);
-  if (version != kVersion) {
+  if (version != kVersion && version != kPerCdoTablesVersion) {
     throw StorageError(cat("snapshot '", path, "': unsupported version ", version));
   }
+  out.version = version;
   if (file_bytes != file.size()) {
     throw StorageError(cat("snapshot '", path, "': size mismatch (header says ", file_bytes,
                            ", file is ", file.size(), ")"));
@@ -303,30 +301,21 @@ SnapshotWriteReport write_snapshot(const dsl::DesignSpaceLayer& layer, const std
     sections.push_back({kCores, e.take()});
   }
 
-  // kTables + kTablePayload: every primed, fully-typed filter plan.
+  // kTables + kTablePayload: the layer's core table, if built and fully
+  // typed (u32 count 0 or 1, then rows, column counts and directories).
   {
     Encoder dir;
     std::string blob;
-    std::uint32_t persisted = 0;
-    Encoder tables_body;
-    for (const dsl::Cdo* cdo : all_cdos) {
-      const dsl::CoreFilterPlan* plan = layer.peek_filter_plan(*cdo);
-      if (plan == nullptr || !table_is_persistable(plan->table)) continue;
-      ++persisted;
-      tables_body.u32(cdo_ids.at(cdo));
-      tables_body.u64(plan->table.rows());
-      tables_body.u32(static_cast<std::uint32_t>(plan->table.binding_column_count()));
-      tables_body.u32(static_cast<std::uint32_t>(plan->table.metric_column_count()));
-      for (const dsl::CoreTable::Column& c : plan->table.binding_columns()) {
-        encode_column(tables_body, blob, c);
-      }
-      for (const dsl::CoreTable::Column& c : plan->table.metric_columns()) {
-        encode_column(tables_body, blob, c);
-      }
+    const dsl::CoreTable* table = layer.peek_core_table();
+    report.tables = table != nullptr && table_is_persistable(*table) ? 1 : 0;
+    dir.u32(static_cast<std::uint32_t>(report.tables));
+    if (report.tables == 1) {
+      dir.u64(table->rows());
+      dir.u32(static_cast<std::uint32_t>(table->binding_columns().size()));
+      dir.u32(static_cast<std::uint32_t>(table->metric_columns().size()));
+      for (const dsl::CoreTable::Column& c : table->binding_columns()) encode_column(dir, blob, c);
+      for (const dsl::CoreTable::Column& c : table->metric_columns()) encode_column(dir, blob, c);
     }
-    report.tables = persisted;
-    dir.u32(persisted);
-    dir.bytes(tables_body.buffer().data(), tables_body.size());
     sections.push_back({kTables, dir.take()});
     sections.push_back({kTablePayload, std::move(blob)});
   }
@@ -524,8 +513,7 @@ SnapshotLoadReport load_snapshot(dsl::DesignSpaceLayer& layer, const std::string
 
   // kConstraints: re-apply the journaled declarative constraints. Applied
   // idempotently (a reload's layer still carries them — clear_catalog()
-  // leaves constraints alone) and BEFORE the tables are installed, since
-  // add_constraint() invalidates every filter plan.
+  // leaves constraints alone).
   {
     const std::string_view section = file.section(kConstraints, /*required=*/false);
     if (!section.empty()) {
@@ -543,24 +531,30 @@ SnapshotLoadReport load_snapshot(dsl::DesignSpaceLayer& layer, const std::string
     }
   }
 
-  // kTables: rebuild the primed filter plans, aliasing payloads in place.
-  {
+  // kTables: restore the core table, aliasing payloads in place. A
+  // version-1 file's per-CDO tables are skipped: the first filter plan
+  // (SharedLayer's prime) rebuilds the one table from the cores.
+  if (file.version == kVersion) {
     const std::string_view payload = file.section(kTablePayload);
     Decoder d(file.section(kTables));
-    const std::uint32_t tables = d.u32();
     const auto take_chunk = [&](std::uint64_t off, std::uint64_t bytes) {
       if (off + bytes > payload.size()) {
         throw StorageError(cat("snapshot '", path, "': table payload out of range"));
       }
       return payload.data() + off;
     };
-    for (std::uint32_t t = 0; t < tables; ++t) {
-      const std::uint32_t cdo_id = d.u32();
-      if (cdo_id >= cdos.size()) {
-        throw StorageError(cat("snapshot '", path, "': table cdo id out of range"));
-      }
-      const dsl::Cdo& cdo = *cdos[cdo_id];
+    const std::uint32_t tables = d.u32();
+    if (tables > 1) {
+      throw StorageError(cat("snapshot '", path, "': ", tables, " core tables, expected one"));
+    }
+    if (tables == 1) {
       const std::uint64_t rows = d.u64();
+      // Row identity: the table was built over indexed_cores() at write
+      // time, and restore_index() reproduced that exact order.
+      if (rows != layer.indexed_cores().size()) {
+        throw StorageError(cat("snapshot '", path, "': table row count mismatch (table ", rows,
+                               ", index ", layer.indexed_cores().size(), ")"));
+      }
       const std::uint64_t words = (rows + 63) / 64;
       const std::uint64_t padded = words * 64;
       const std::uint32_t binding_count = d.u32();
@@ -619,18 +613,9 @@ SnapshotLoadReport load_snapshot(dsl::DesignSpaceLayer& layer, const std::string
 
       std::vector<dsl::CoreTable::Column> binding_columns = decode_columns(binding_count);
       std::vector<dsl::CoreTable::Column> metric_columns = decode_columns(metric_count);
-
-      // Row identity: the table was built over cores_under(cdo) at write
-      // time, and restore_index() reproduced that exact order.
-      const std::vector<const dsl::Core*>& under = layer.cores_under(cdo);
-      if (under.size() != rows) {
-        throw StorageError(cat("snapshot '", path, "': table row count mismatch for '",
-                               cdo.path(), "' (table ", rows, ", index ", under.size(), ")"));
-      }
-      layer.install_filter_plan(
-          cdo, dsl::CoreTable(under, std::move(binding_columns), std::move(metric_columns),
-                              file.mapping));
-      ++report.tables;
+      layer.install_core_table(std::move(binding_columns), std::move(metric_columns),
+                               file.mapping);
+      report.tables = 1;
     }
   }
 

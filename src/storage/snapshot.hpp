@@ -1,7 +1,7 @@
 // Catalog snapshots: the mmap-friendly cold-start format (DESIGN.md §15).
 //
 // A snapshot freezes the DATA of a layer — libraries, cores, the
-// core->CDO index, and the primed columnar filter tables — into one file
+// core->CDO index, and the layer's columnar core table — into one file
 // that a fresh process loads in milliseconds instead of re-importing and
 // re-indexing a million-core catalog for tens of seconds. The hierarchy
 // and code-authored constraints are NOT stored (they are code); a
@@ -12,7 +12,8 @@
 // CatalogRecords (section kConstraints), and re-applied idempotently.
 //
 // File layout
-//   header   : magic "DSLSNAP1", u32 version, u32 section count,
+//   header   : magic "DSLSNAP1", u32 version (2; version-1 files still
+//              load, see kTables), u32 section count,
 //              u64 total file bytes, u32 crc32(header+directory with this
 //              field zeroed)
 //   directory: per section {u32 tag, u32 flags, u64 offset, u64 length,
@@ -25,8 +26,12 @@
 //   kCdoPaths   every CDO path, space().all() order — dense cdo ids
 //   kCores      per library, per core: name, class symbol, indexed cdo
 //               id, bindings (symbol, value), metrics (symbol, f64), views
-//   kTables     per primed CDO: column directory (symbols, kinds) with
-//               offsets into kTablePayload
+//   kTables     the core table over DesignSpaceLayer::indexed_cores(), if
+//               built and free of mixed-kind columns: u32 count (0 or 1),
+//               rows, column directory (symbols, kinds) with offsets into
+//               kTablePayload. Version-1 files hold one table per primed
+//               CDO here instead; the loader skips them and the first
+//               filter plan rebuilds the one table.
 //   kTablePayload raw column words (presence bitmaps, doubles, symbols),
 //               64-byte aligned — the loader ALIASES these through a
 //               shared mmap instead of copying (CoreTable keepalive)
@@ -55,7 +60,7 @@ namespace dslayer::storage {
 struct SnapshotWriteReport {
   std::uint64_t bytes = 0;
   std::uint64_t cores = 0;
-  std::uint64_t tables = 0;       ///< primed filter plans persisted
+  std::uint64_t tables = 0;       ///< core tables persisted (0 or 1)
   std::uint64_t constraints = 0;  ///< journaled constraint records persisted
 };
 
@@ -65,7 +70,7 @@ struct SnapshotWriteReport {
 /// records at or below it, which makes the checkpoint protocol (publish
 /// snapshot, then reset WAL) crash-safe in between. `constraints` (may be
 /// null) are the journaled kAddConstraint records absorbed so far: the
-/// snapshot stores cores and tables as columns but constraints as their
+/// snapshot stores cores and the table as columns but constraints as their
 /// journal records, because a ConsistencyConstraint is rebuilt cheaply
 /// and absorbing them any other way would lose them at WAL reset.
 /// Failpoints:
@@ -82,13 +87,13 @@ struct SnapshotLoadPhases {
   double open_ms = 0.0;         ///< mmap + header/directory verify (+ payload CRCs)
   double symbols_ms = 0.0;      ///< symbol intern + remap + CDO path resolve
   double cores_ms = 0.0;        ///< kCores decode into libraries
-  double index_ms = 0.0;        ///< restore_index (core->CDO + subtree rollup)
-  double tables_ms = 0.0;       ///< constraints + filter plan install (mmap alias)
+  double index_ms = 0.0;        ///< restore_index (core->CDO + pre-order layout)
+  double tables_ms = 0.0;       ///< constraints + core table install (mmap alias)
 };
 
 struct SnapshotLoadReport {
   std::uint64_t cores = 0;
-  std::uint64_t tables = 0;          ///< filter plans restored
+  std::uint64_t tables = 0;          ///< core tables restored (0 or 1)
   std::uint64_t aliased_bytes = 0;   ///< column payload bytes served from the mmap
   std::uint64_t journal_seq = 0;     ///< highest journal sequence absorbed
   bool symbol_identity = false;      ///< remap was the identity (alias fast path)
@@ -108,9 +113,9 @@ struct SnapshotLoadOptions {
 /// Loads `path` into `layer`, which must carry the same code-defined
 /// hierarchy/constraints the snapshot was taken against (checked by
 /// fingerprint). Replaces the layer's libraries and index wholesale
-/// (clear_catalog + restore_index) and installs the persisted filter
-/// plans. The snapshot file stays mmapped for the life of the restored
-/// tables (CoreTable keepalive). Throws StorageError on any mismatch.
+/// (clear_catalog + restore_index) and installs the persisted core
+/// table. The snapshot file stays mmapped for the life of the restored
+/// table (CoreTable keepalive). Throws StorageError on any mismatch.
 SnapshotLoadReport load_snapshot(dsl::DesignSpaceLayer& layer, const std::string& path,
                                  const SnapshotLoadOptions& options = {});
 

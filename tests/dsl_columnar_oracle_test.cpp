@@ -19,6 +19,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -30,6 +31,7 @@
 #include "dsl/exploration.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
+#include "support/strings.hpp"
 
 namespace dslayer {
 namespace {
@@ -123,9 +125,7 @@ struct Twin {
 /// Filtering exercises declarative compliance (>=, <=, ==), custom core
 /// filters keyed by a metric (Cert) and by bindings of every column kind
 /// (Fit), compiled predicates (D1, D2), and an opaque lambda (O1).
-std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_count) {
-  auto layer = std::make_unique<DesignSpaceLayer>("oracle");
-  Cdo& node = layer->space().add_root("Node");
+void declare_oracle_space(DesignSpaceLayer& layer, Cdo& node) {
   node.add_property(Property::requirement("MinScore", ValueDomain::real_range(0.0, 100.0), "")
                         .with_compliance(Compliance::kCoreAtLeast, "score"));
   node.add_property(Property::requirement("MaxCost", ValueDomain::real_range(0.0, 100.0), "")
@@ -142,19 +142,19 @@ std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_c
   node.add_property(Property::design_issue("Phantom", ValueDomain::options({"on", "off"}), ""));
 
   // D1/D2: compiled into the columnar predicate program.
-  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
+  layer.add_constraint(ConsistencyConstraint::inconsistent_when(
       "D1", "t3 cannot drive wide datapaths", {PropertyPath::parse("Tech@Node")},
       {PropertyPath::parse("Width@Node")},
       {PredicateAtom::equals("Tech", Value::text("t3")),
        PredicateAtom::compares("Width", Cmp::kGe, 32.0)}));
-  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
+  layer.add_constraint(ConsistencyConstraint::inconsistent_when(
       "D2", "strict mode rejects t1", {PropertyPath::parse("Mode@Node")},
       {PropertyPath::parse("Tech@Node")},
       {PredicateAtom::equals("Mode", Value::text("strict")),
        PredicateAtom::equals("Tech", Value::text("t1"))}));
   // O1: opaque lambda — the columnar engine must fall back to the
   // merged-bindings overlay for this one.
-  layer->add_constraint(ConsistencyConstraint::inconsistent_options(
+  layer.add_constraint(ConsistencyConstraint::inconsistent_options(
       "O1", "numeric grades above 5 need t2", {PropertyPath::parse("Tech@Node")},
       {PropertyPath::parse("Grade@Node")}, [](const Bindings& b) {
         const Value grade = dsl::get_or_empty(b, "Grade");
@@ -163,7 +163,7 @@ std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_c
       }));
   // Custom filter keyed by a metric: gold certification demands a score
   // of 50+. The jittered scores make nearly every row its own key.
-  layer->set_core_filter("Cert", {{FilterRead::metric("score")},
+  layer.set_core_filter("Cert", {{FilterRead::metric("score")},
                                   [](const FilterView& core, const Bindings& bindings) {
                                     const double floor =
                                         dsl::get_or_empty(bindings, "Cert").as_text() == "gold"
@@ -176,7 +176,7 @@ std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_c
   // at most 4 x 5 x 15 keys. Narrow fits reject wide or high-grade cores
   // (strict mode also rejects cores without a Tech); wide fits need a
   // known Width.
-  layer->set_core_filter(
+  layer.set_core_filter(
       "Fit", {{FilterRead::binding("Tech"), FilterRead::binding("Width"),
                FilterRead::binding("Grade")},
               [](const FilterView& core, const Bindings& bindings) {
@@ -191,36 +191,49 @@ std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_c
                 return core.binding("Tech") != nullptr ||
                        dsl::get_or_empty(bindings, "Mode") != Value::text("strict");
               }});
+}
 
-  Rng rng(seed);
-  ReuseLibrary& lib = layer->add_library("cores");
+/// One randomized oracle core: gaps in every column, Grade of mixed kind,
+/// Coding usually text. `text_width` binds Width as text instead of a
+/// number (same random draws).
+Core random_oracle_core(Rng& rng, std::size_t i, bool text_width = false) {
   const char* techs[] = {"t1", "t2", "t3"};
   const char* codings[] = {"sign", "carry", "redundant"};
   const double widths[] = {8, 16, 32, 64};
-  for (std::size_t i = 0; i < core_count; ++i) {
-    Core c("c" + std::to_string(i), "Node");
-    if (rng.next_bool(0.9)) c.bind("Tech", Value::text(techs[rng.next_below(3)]));
-    if (rng.next_bool(0.9)) c.bind("Width", Value::number(widths[rng.next_below(4)]));
-    // Grade is a mixed-kind column: numbers, texts, and gaps.
-    switch (rng.next_below(3)) {
-      case 0: c.bind("Grade", Value::number(static_cast<double>(rng.next_below(10)))); break;
-      case 1: c.bind("Grade", Value::text("g" + std::to_string(rng.next_below(4)))); break;
-      default: break;  // missing
-    }
-    // Coding is usually text, occasionally a number (kind mismatch vs the
-    // kCoreEquals requirement) and occasionally absent.
-    if (rng.next_bool(0.8)) {
-      c.bind("Coding", Value::text(codings[rng.next_below(3)]));
-    } else if (rng.next_bool(0.4)) {
-      c.bind("Coding", Value::number(1.0));
-    }
-    // Jitter below 0.1 keeps every integer-bound comparison's outcome.
-    if (rng.next_bool(0.85)) {
-      c.set_metric("score", static_cast<double>(rng.next_below(100)) + 0.001 * (i % 97));
-    }
-    if (rng.next_bool(0.85)) c.set_metric("cost", static_cast<double>(rng.next_below(100)));
-    lib.add(std::move(c));
+  Core c("c" + std::to_string(i), "Node");
+  if (rng.next_bool(0.9)) c.bind("Tech", Value::text(techs[rng.next_below(3)]));
+  if (rng.next_bool(0.9)) {
+    const double width = widths[rng.next_below(4)];
+    c.bind("Width", text_width ? Value::text("w" + std::to_string(static_cast<int>(width)))
+                               : Value::number(width));
   }
+  // Grade is a mixed-kind column: numbers, texts, and gaps.
+  switch (rng.next_below(3)) {
+    case 0: c.bind("Grade", Value::number(static_cast<double>(rng.next_below(10)))); break;
+    case 1: c.bind("Grade", Value::text("g" + std::to_string(rng.next_below(4)))); break;
+    default: break;  // missing
+  }
+  // Coding is usually text, occasionally a number (kind mismatch vs the
+  // kCoreEquals requirement) and occasionally absent.
+  if (rng.next_bool(0.8)) {
+    c.bind("Coding", Value::text(codings[rng.next_below(3)]));
+  } else if (rng.next_bool(0.4)) {
+    c.bind("Coding", Value::number(1.0));
+  }
+  // Jitter below 0.1 keeps every integer-bound comparison's outcome.
+  if (rng.next_bool(0.85)) {
+    c.set_metric("score", static_cast<double>(rng.next_below(100)) + 0.001 * (i % 97));
+  }
+  if (rng.next_bool(0.85)) c.set_metric("cost", static_cast<double>(rng.next_below(100)));
+  return c;
+}
+
+std::unique_ptr<DesignSpaceLayer> oracle_layer(unsigned seed, std::size_t core_count) {
+  auto layer = std::make_unique<DesignSpaceLayer>("oracle");
+  declare_oracle_space(*layer, layer->space().add_root("Node"));
+  Rng rng(seed);
+  ReuseLibrary& lib = layer->add_library("cores");
+  for (std::size_t i = 0; i < core_count; ++i) lib.add(random_oracle_core(rng, i));
   layer->index_cores();
   return layer;
 }
@@ -952,6 +965,206 @@ TEST_P(ForcedKernelOracle, ThrowingFilterGivesSameErrorInBothEngines) {
     EXPECT_NE(std::string(e.what()).find("'Radix'"), std::string::npos) << e.what();
     EXPECT_EQ(std::string(e.what()).find("broken_slice"), std::string::npos) << e.what();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Row-range sweeps: every CDO's plan is a row range of the layer's one
+// table, so a sub-CDO scope sweeps words that start and end mid-word,
+// next to rows (and columns) that belong to other CDOs.
+// ---------------------------------------------------------------------------
+
+/// The oracle layer with Node specialized by a generalized Family issue
+/// into Node.A and Node.B: `lead` cores stay at Node, `scoped` resolve to
+/// Node.A and `tail` to Node.B, so Node.A's rows are [lead, lead + scoped)
+/// of the table and Node.B's run to its end. Constraint D4 reads Heat, a
+/// session requirement. With `outside_columns` the cores outside Node.A
+/// also bind Heat (numbers), and the lead cores bind Width as text, which
+/// makes the layer's Width column mixed-kind while Node.A's rows stay
+/// numeric; the random draws, and so every core inside Node.A, are the
+/// same either way.
+std::unique_ptr<DesignSpaceLayer> scoped_oracle_layer(unsigned seed, std::size_t lead,
+                                                      std::size_t scoped, std::size_t tail,
+                                                      bool outside_columns) {
+  auto layer = std::make_unique<DesignSpaceLayer>("scoped-oracle");
+  Cdo& node = layer->space().add_root("Node");
+  declare_oracle_space(*layer, node);
+  node.add_property(Property::generalized_issue("Family", {"A", "B"}, ""));
+  node.specialize("A");
+  node.specialize("B");
+  node.add_property(Property::requirement("Heat", ValueDomain::real_range(0.0, 100.0), ""));
+  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
+      "D4", "hot parts cannot be t2", {PropertyPath::parse("Heat@Node")},
+      {PropertyPath::parse("Tech@Node")},
+      {PredicateAtom::equals("Tech", Value::text("t2")),
+       PredicateAtom::compares("Heat", Cmp::kGe, 50.0)}));
+
+  Rng rng(seed);
+  ReuseLibrary& lib = layer->add_library("cores");
+  std::size_t i = 0;
+  const auto add = [&](std::size_t count, const char* family, bool text_width) {
+    for (std::size_t n = 0; n < count; ++n, ++i) {
+      Core c = random_oracle_core(rng, i, outside_columns && text_width);
+      if (family != nullptr) c.bind("Family", Value::text(family));
+      if (outside_columns && (family == nullptr || family[0] != 'A')) {
+        c.bind("Heat", Value::number(static_cast<double>(i * 37 % 100)));
+      }
+      lib.add(std::move(c));
+    }
+  };
+  // Added out of layout order: index_cores() lays them out in pre-order.
+  add(scoped, "A", false);
+  add(tail, "B", false);
+  add(lead, nullptr, true);
+  layer->index_cores();
+  return layer;
+}
+
+/// A random walk over both engines at `scope`, checking candidates after
+/// every step and the work counters at the end.
+void scoped_walk(Twin& twin, unsigned seed) {
+  twin.columnar.reset_query_stats();
+  twin.legacy.reset_query_stats();
+  Rng rng(seed);
+  for (int step = 0; step < 20; ++step) {
+    switch (rng.next_below(6)) {
+      case 0: {
+        const char* name = rng.next_bool() ? "MinScore" : "MaxCost";
+        const double value = static_cast<double>(rng.next_below(101));
+        twin.apply([&](ExplorationSession& s) { s.set_requirement(name, value); });
+        break;
+      }
+      case 1: {
+        const double heat = static_cast<double>(rng.next_below(101));
+        twin.apply([&](ExplorationSession& s) { s.set_requirement("Heat", heat); });
+        break;
+      }
+      case 2: {
+        const char* requirement = rng.next_bool() ? "Cert" : "Mode";
+        const char* value = requirement[0] == 'C' ? (rng.next_bool() ? "gold" : "silver")
+                                                  : (rng.next_bool() ? "strict" : "lax");
+        twin.apply([&](ExplorationSession& s) { s.set_requirement(requirement, value); });
+        break;
+      }
+      case 3: {
+        const char* techs[] = {"t1", "t2", "t3"};
+        const char* tech = techs[rng.next_below(3)];
+        twin.apply([&](ExplorationSession& s) { s.decide("Tech", tech); });
+        break;
+      }
+      case 4: {
+        const double widths[] = {8, 16, 32, 64};
+        const double width = widths[rng.next_below(4)];
+        twin.apply([&](ExplorationSession& s) { s.decide("Width", Value::number(width)); });
+        break;
+      }
+      default: {
+        const char* names[] = {"MinScore", "MaxCost", "Heat", "Cert", "Mode", "Tech", "Width"};
+        const char* name = names[rng.next_below(7)];
+        twin.apply([&](ExplorationSession& s) {
+          if (s.value_of(name).has_value()) s.retract(name);
+        });
+        break;
+      }
+    }
+    twin.expect_candidates_agree();
+  }
+  twin.expect_counters_agree();
+}
+
+/// Walks Node.A and Node.B for scopes of 0, 1, 63, 64, 65 and 130 rows
+/// (plus `extra` sizes) behind a 37-core lead and before a 29-core tail,
+/// so both ranges start mid-word and Node.A's ends mid-word too.
+void walk_sub_cdo_ranges(unsigned seed, std::initializer_list<std::size_t> extra = {}) {
+  std::vector<std::size_t> sizes = {0, 1, 63, 64, 65, 130};
+  sizes.insert(sizes.end(), extra.begin(), extra.end());
+  for (const std::size_t scoped : sizes) {
+    auto layer = scoped_oracle_layer(seed * 977 + static_cast<unsigned>(scoped), 37, scoped, 29,
+                                     /*outside_columns=*/true);
+    const Cdo& a = *layer->space().find("Node.A");
+    ASSERT_EQ(layer->filter_plan(a).begin, 37u);
+    ASSERT_EQ(layer->filter_plan(a).rows(), scoped);
+    for (const char* scope : {"Node.A", "Node.B"}) {
+      SCOPED_TRACE(cat(scope, " with ", scoped, " scoped rows"));
+      Twin twin(*layer, scope);
+      scoped_walk(twin, seed * 31 + static_cast<unsigned>(scoped));
+    }
+  }
+}
+
+TEST_P(ForcedKernelOracle, SubCdoRangesAgree) { walk_sub_cdo_ranges(std::get<1>(GetParam())); }
+
+TEST_P(ForcedKernelOracle, SubCdoRangesAgreeChunkParallel) {
+  // Threshold 64: every range of 64+ rows takes the parallel path, and the
+  // 5000-row scope spans three 2048-row chunks that start mid-word.
+  struct ThresholdGuard {
+    std::size_t saved = dsl::columnar_parallel_threshold();
+    ~ThresholdGuard() { dsl::set_columnar_parallel_threshold(saved); }
+  } guard;
+  dsl::set_columnar_parallel_threshold(64);
+  walk_sub_cdo_ranges(std::get<1>(GetParam()) + 100, {5000});
+}
+
+TEST(ColumnarOracle, ColumnBoundOnlyOutsideScopeChangesNothingInside) {
+  // Heat is bound only by cores outside Node.A and Width is text there:
+  // inside Node.A, D4 must still read Heat from the session and Width
+  // from its own numeric rows, with the same survivors and counters as
+  // over a layer where no core outside binds either.
+  auto plain = scoped_oracle_layer(5, 37, 130, 29, /*outside_columns=*/false);
+  auto bound = scoped_oracle_layer(5, 37, 130, 29, /*outside_columns=*/true);
+  ExplorationSession inside_plain(*plain, "Node.A");
+  Twin inside_bound(*bound, "Node.A");
+  inside_plain.reset_query_stats();
+  inside_bound.columnar.reset_query_stats();
+  inside_bound.legacy.reset_query_stats();
+  const auto names = [](const std::vector<const Core*>& cores) {
+    std::vector<std::string> out;
+    for (const Core* core : cores) out.push_back(core->name());
+    return out;
+  };
+  const std::vector<std::function<void(ExplorationSession&)>> steps = {
+      [](ExplorationSession& s) { s.set_requirement("Heat", 80.0); },
+      [](ExplorationSession& s) { s.set_requirement("Fit", "narrow"); },
+      [](ExplorationSession& s) { s.set_requirement("Heat", 20.0); },
+      [](ExplorationSession& s) { s.decide("Tech", "t3"); },
+      [](ExplorationSession& s) { s.decide("Width", Value::number(16.0)); },
+  };
+  for (const auto& step : steps) {
+    step(inside_plain);
+    inside_bound.apply(step);
+    inside_bound.expect_candidates_agree();
+    EXPECT_EQ(names(inside_bound.columnar.candidates()), names(inside_plain.candidates()));
+  }
+  EXPECT_FALSE(inside_plain.candidates().empty());
+  const auto plain_stats = inside_plain.query_stats();
+  const auto bound_stats = inside_bound.columnar.query_stats();
+  EXPECT_EQ(bound_stats.compliance_checks, plain_stats.compliance_checks);
+  EXPECT_EQ(bound_stats.constraint_evaluations, plain_stats.constraint_evaluations);
+  inside_bound.expect_counters_agree();
+}
+
+TEST(ColumnarOracle, AddConstraintKeepsTableAndRecompilesPlans) {
+  auto layer = scoped_oracle_layer(9, 37, 130, 29, /*outside_columns=*/true);
+  const Cdo& a = *layer->space().find("Node.A");
+  const dsl::CoreTable* table = &layer->filter_plan(a).table;
+  const std::size_t predicates = layer->filter_plan(a).predicates.size();
+  EXPECT_EQ(&layer->filter_plan(*layer->space().find("Node.B")).table, table);
+
+  layer->add_constraint(ConsistencyConstraint::inconsistent_when(
+      "D5", "t1 banned outright", {PropertyPath::parse("Tech@Node")},
+      {PropertyPath::parse("Tech@Node")}, {PredicateAtom::equals("Tech", Value::text("t1"))}));
+  // The table survives; the plan is recompiled against the new constraints.
+  EXPECT_EQ(layer->peek_core_table(), table);
+  EXPECT_EQ(&layer->filter_plan(a).table, table);
+  EXPECT_EQ(layer->filter_plan(a).predicates.size(), predicates + 1);
+
+  Twin twin(*layer, "Node.A");
+  twin.apply([](ExplorationSession& s) { s.set_requirement("MinScore", 20.0); });
+  twin.expect_candidates_agree();
+  EXPECT_FALSE(twin.columnar.candidates().empty());
+  for (const Core* core : twin.columnar.candidates()) {
+    EXPECT_NE(core->binding("Tech"), Value::text("t1")) << core->name();
+  }
+  twin.expect_counters_agree();
 }
 
 }  // namespace

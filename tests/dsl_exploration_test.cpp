@@ -341,9 +341,9 @@ TEST(Session, TraceRecordsNarrative) {
 }
 
 // The replay journal holds exactly the state-mutating events, in emission
-// order, each rendered as the to_jsonl line of the event the hub recorded;
-// queries, eliminations, re-assessment flags and rejected actions leave
-// no line.
+// order, each rendered as the to_jsonl line of an event the hub recorded
+// but numbered by its ordinal in the journal; queries, eliminations,
+// re-assessment flags and rejected actions leave no line.
 TEST(Session, JournalHoldsOnlyTheFiveMutatingKinds) {
   using telemetry::EventKind;
   auto layer = rich_layer();
@@ -369,11 +369,12 @@ TEST(Session, JournalHoldsOnlyTheFiveMutatingKinds) {
     const auto event = telemetry::parse_event_jsonl(line);
     ASSERT_TRUE(event.has_value()) << line;
     kinds.push_back(event->kind);
-    const auto recorded = std::find_if(ring.begin(), ring.end(), [&](const telemetry::Event& e) {
-      return e.seq == event->seq;
+    EXPECT_EQ(event->seq, kinds.size()) << line;
+    const auto recorded = std::find_if(ring.begin(), ring.end(), [&](telemetry::Event e) {
+      e.seq = event->seq;
+      return telemetry::to_jsonl(e) == line;
     });
-    ASSERT_NE(recorded, ring.end()) << line;
-    EXPECT_EQ(telemetry::to_jsonl(*recorded), line);
+    EXPECT_NE(recorded, ring.end()) << line;
   }
   EXPECT_EQ(kinds, (std::vector<EventKind>{EventKind::kSessionOpened, EventKind::kRequirementSet,
                                            EventKind::kDecision, EventKind::kRequirementSet,

@@ -251,16 +251,24 @@ TEST(SubtreeIndex, CoresUnderServedFromIndex) {
   auto layer = chained_layer();
   const Cdo& node = *layer->space().roots()[0];
   layer->reset_query_stats();
+  // cores_under() and cores_at() are views of the one pre-order core array
+  // index_cores() laid out: no copy, no cache traffic, no rebuild.
   EXPECT_EQ(layer->cores_under(node).size(), 4u);
-  EXPECT_EQ(layer->cores_under(node).size(), 4u);
-  EXPECT_EQ(layer->query_stats().cache_hits, 2u);  // built by index_cores()
+  EXPECT_EQ(layer->cores_under(node).data(), layer->indexed_cores().data());
+  EXPECT_EQ(layer->cores_at(node).data(), layer->indexed_cores().data());
+  EXPECT_EQ(layer->query_stats().cache_misses, 0u);
   EXPECT_EQ(layer->query_stats().index_rebuilds, 0u);
 
-  // A CDO created after index_cores() is indexed on first query.
+  // A CDO created after index_cores() has no range yet; no core can
+  // resolve to it, so its region is empty without building anything.
   Cdo& late = layer->space().add_root("Late");
   EXPECT_TRUE(layer->cores_under(late).empty());
-  EXPECT_EQ(layer->query_stats().cache_misses, 1u);
-  EXPECT_EQ(layer->query_stats().index_rebuilds, 1u);
+  EXPECT_TRUE(layer->cores_at(late).empty());
+  EXPECT_EQ(layer->query_stats().cache_misses, 0u);
+  EXPECT_EQ(layer->query_stats().index_rebuilds, 0u);
+  // Its filter plan is an empty range of the same table.
+  EXPECT_EQ(layer->filter_plan(late).rows(), 0u);
+  EXPECT_EQ(&layer->filter_plan(late).table, &layer->filter_plan(node).table);
 }
 
 TEST(DuplicateNames, StillRejectedByTheNameSets) {

@@ -277,6 +277,22 @@ TEST_F(ShellTest, TraceExportFailsWhenTheJournalIsNotWritten) {
   std::remove(path.c_str());
 }
 
+// An injected fault that fires inside a command fails that command only:
+// the interactive shell reports it and keeps reading.
+TEST_F(ShellTest, FiredFailpointFailsOneCommandAndTheShellContinues) {
+  struct FailpointGuard {
+    ~FailpointGuard() { support::FailpointRegistry::instance().reset(); }
+    support::FailpointRegistry& registry = support::FailpointRegistry::instance();
+  } failpoints;
+  ASSERT_TRUE(failpoints.registry.arm_spec("dsl.candidates.sweep=error:1"));
+  const ShellRun r = run(*layer_, "open Operator.Modular.Multiplier\n"
+                                  "candidates\n");
+  EXPECT_EQ(r.failures, 1) << r.output;
+  EXPECT_NE(r.output.find("error: "), std::string::npos) << r.output;
+  // The second command ran and answered (the point disarmed after one fire).
+  EXPECT_NE(r.output.find("mm1_w8_0.35um"), std::string::npos) << r.output;
+}
+
 TEST_F(ShellTest, TraceExportFailsOnBadPathsAndFullDevices) {
   const ShellRun r = run(*layer_,
                          "open Operator.Modular.Multiplier\n"

@@ -20,8 +20,9 @@
 // multi-session command stream, with catalog epoch bumps, run through a
 // SessionManager over a SessionStore (with restarts and LRU evictions) and
 // through an in-memory one must give byte-identical responses, and after
-// every command answered ok the stored journal must equal the live one and
-// replay to the live session.
+// every command answered ok the stored journal must equal the live one,
+// replay to itself (replay(J).export_journal() == J), and replay to the
+// live session.
 
 #include <gtest/gtest.h>
 
@@ -326,8 +327,10 @@ TEST_P(DurableEquivalence, DurableRunMatchesInMemoryRunAndStoredJournalsReplay) 
     ASSERT_TRUE(stored.has_value()) << step.session;
     ASSERT_EQ(*stored, storage::read_file(export_path)) << "after " << step.line;
 
-    // ...and replays to the live session's report and candidates.
+    // ...and replays to itself and to the live session's report and
+    // candidates.
     const ExplorationSession replayed = ExplorationSession::replay(*layer, *stored);
+    ASSERT_EQ(replayed.export_journal(), *stored);
     ASSERT_EQ(replayed.report(), run_command(*manager, step.session, "report"));
     std::string candidates;
     for (const Core* core : replayed.candidates()) candidates += cat("  ", core->describe(), "\n");

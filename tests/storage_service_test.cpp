@@ -3,6 +3,7 @@
 // the `!snapshot` / `!restore` / `!failpoint list` front-end directives.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <fstream>
 #include <memory>
@@ -220,6 +221,47 @@ TEST_F(DurableSessionTest, EpochMigrationRewritesTheJournal) {
   expect_restores(store, "alice", before);
 }
 
+/// The file's inode: a whole-file rewrite (tmp + rename) replaces it.
+ino_t inode_of(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
+
+TEST_F(DurableSessionTest, RestoredAndMigratedSessionsKeepTheirFile) {
+  storage::SessionStore store(scratch_dir("adopt"));
+  const std::string file = store.dir() + "/" + storage::SessionStore::encode_name("alice") + ".jsonl";
+  const std::string exported = scratch_dir("export") + "/journal.jsonl";
+  {
+    SessionManager manager(shared_, with_store(store));
+    run(manager, "alice", cat("open ", kOmm));
+    // Reads emit hub events between the journaled ones; the journal's own
+    // numbering must not depend on them.
+    for (int i = 0; i < 4; ++i) run(manager, "alice", "range area");
+    run(manager, "alice", cat("req ", domains::kEOL, " 768"));
+  }
+  const ino_t inode = inode_of(file);
+  SessionManager manager(shared_, with_store(store));
+  // The restore replays the file to the same text and adopts it: neither
+  // the first read nor the first write rewrites it.
+  run(manager, "alice", "range area");
+  EXPECT_EQ(manager.stats().restored, 1u);
+  EXPECT_EQ(inode_of(file), inode);
+  run(manager, "alice", "decide ImplementationStyle Hardware");
+  EXPECT_EQ(inode_of(file), inode);
+  run(manager, "alice", cat("trace export ", exported));
+  EXPECT_EQ(storage::read_file(file), storage::read_file(exported));
+
+  // Likewise across an epoch migration.
+  shared_.write([](dsl::DesignSpaceLayer&) {});
+  run(manager, "alice", "range area");
+  EXPECT_EQ(manager.stats().migrations, 1u);
+  run(manager, "alice", "decide Algorithm Montgomery");
+  EXPECT_EQ(inode_of(file), inode);
+  run(manager, "alice", cat("trace export ", exported));
+  EXPECT_EQ(storage::read_file(file), storage::read_file(exported));
+}
+
 // ---------------------------------------------------------------------------
 // directives
 // ---------------------------------------------------------------------------
@@ -301,22 +343,23 @@ TEST(DurableBoot, RebootWithSnapshotPreservesPrimedPlans) {
     durable.apply_and_log(storage::CatalogRecord::add_cores("provider",
                                                             {storage::to_record(core)}));
     durable.apply_and_log(storage::CatalogRecord::index_cores());
-    // Prime a plan so the snapshot persists a filter table.
+    // Prime a plan so the snapshot persists the core table.
     (void)layer->filter_plan(*layer->space().find(kOmm));
     durable.checkpoint();
     journaled = dsl::export_layer(*layer);
   }
-  // Reboot: snapshot restores the index + tables; SharedLayer kPreserve
+  // Reboot: snapshot restores the index + table; SharedLayer kPreserve
   // must not clobber them with a cold re-index.
   auto layer = domains::build_crypto_layer();
   storage::DurableCatalog durable(*layer, {.dir = dir});
   ASSERT_TRUE(durable.boot_report().loaded_snapshot);
-  EXPECT_NE(layer->peek_filter_plan(*layer->space().find(kOmm)), nullptr);
+  const dsl::CoreTable* restored = layer->peek_core_table();
+  ASSERT_NE(restored, nullptr);
   SharedLayer shared(*layer, SharedLayer::Reindex::kPreserve);
   {
     const auto reader = shared.read_lock();
     EXPECT_EQ(dsl::export_layer(shared.layer()), journaled);
-    EXPECT_NE(shared.layer().peek_filter_plan(*layer->space().find(kOmm)), nullptr);
+    EXPECT_EQ(&shared.layer().filter_plan(*layer->space().find(kOmm)).table, restored);
   }
   // And the preserved state still answers queries.
   SessionManager manager(shared);

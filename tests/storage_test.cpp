@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "dsl/exploration.hpp"
 #include "dsl/layer.hpp"
 #include "dsl/serialize.hpp"
 #include "storage/catalog_journal.hpp"
@@ -313,6 +315,13 @@ TEST(Wal, SyncModesCountSyncedBytes) {
 
 // -- snapshots --------------------------------------------------------------
 
+/// Names of `cores`, in order.
+std::vector<std::string> names_of(std::span<const Core* const> cores) {
+  std::vector<std::string> names;
+  for (const Core* core : cores) names.push_back(core->name());
+  return names;
+}
+
 TEST(Snapshot, RoundTripsCatalogAndTables) {
   const std::string path = scratch_dir("snap") + "/catalog.snap";
   auto original = make_layer();
@@ -321,28 +330,90 @@ TEST(Snapshot, RoundTripsCatalogAndTables) {
   original->add_library("acme").add(make_core("c3", "Fast", 32));
   original->add_constraint(make_constraint());
   original->index_cores();
-  // Prime two filter plans so kTables has content.
-  (void)original->filter_plan(*original->space().find("Block"));
+  // Indexed cores sit in hierarchy pre-order: Block's own (none), then
+  // Block.Fast's in library/add order, then Block.Slow's.
+  EXPECT_EQ(names_of(original->indexed_cores()), (std::vector<std::string>{"c1", "c3", "c2"}));
+  // Priming one plan builds the layer's one core table, so kTables has
+  // content.
   (void)original->filter_plan(*original->space().find("Block.Fast"));
 
   const SnapshotWriteReport written = write_snapshot(*original, path, 17);
   EXPECT_EQ(written.cores, 3u);
-  EXPECT_EQ(written.tables, 2u);
+  EXPECT_EQ(written.tables, 1u);
   EXPECT_GT(written.bytes, 0u);
 
   auto restored = make_layer();
   restored->add_constraint(make_constraint());
   const SnapshotLoadReport loaded = load_snapshot(*restored, path, {.verify_payloads = true});
   EXPECT_EQ(loaded.cores, 3u);
-  EXPECT_EQ(loaded.tables, 2u);
+  EXPECT_EQ(loaded.tables, 1u);
+  EXPECT_GT(loaded.aliased_bytes, 0u);
   EXPECT_EQ(loaded.journal_seq, 17u);
 
   EXPECT_EQ(dsl::export_layer(*original), dsl::export_layer(*restored));
-  const Cdo& root = *restored->space().find("Block");
-  EXPECT_EQ(restored->cores_under(root).size(), 3u);
-  EXPECT_NE(restored->peek_filter_plan(root), nullptr);
-  EXPECT_NE(restored->peek_filter_plan(*restored->space().find("Block.Fast")), nullptr);
-  EXPECT_EQ(restored->peek_filter_plan(*restored->space().find("Block.Slow")), nullptr);
+  EXPECT_EQ(names_of(restored->indexed_cores()), names_of(original->indexed_cores()));
+  const dsl::CoreTable* table = restored->peek_core_table();
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->rows(), 3u);
+  // Every CDO's plan, primed at write time or not, is a row range of the
+  // one restored table: the range is exactly the CDO's cores_under().
+  for (const char* cdo_path : {"Block", "Block.Fast", "Block.Slow"}) {
+    const Cdo& cdo = *restored->space().find(cdo_path);
+    const dsl::CoreFilterPlan& plan = restored->filter_plan(cdo);
+    EXPECT_EQ(&plan.table, table) << cdo_path;
+    EXPECT_EQ(names_of(table->cores().subspan(plan.begin, plan.rows())),
+              names_of(restored->cores_under(cdo)))
+        << cdo_path;
+  }
+  EXPECT_EQ(restored->cores_under(*restored->space().find("Block")).size(), 3u);
+}
+
+TEST(Snapshot, UnbuiltTableIsNotPersisted) {
+  // No plan was ever asked for, so the layer holds no core table and the
+  // snapshot stores none; the first plan after boot builds it.
+  const std::string path = scratch_dir("snap") + "/catalog.snap";
+  auto original = make_layer();
+  original->add_library("vendor").add(make_core("c1", "Fast", 8));
+  original->index_cores();
+  ASSERT_EQ(original->peek_core_table(), nullptr);
+  EXPECT_EQ(write_snapshot(*original, path).tables, 0u);
+
+  auto restored = make_layer();
+  const SnapshotLoadReport loaded = load_snapshot(*restored, path);
+  EXPECT_EQ(loaded.tables, 0u);
+  EXPECT_EQ(restored->peek_core_table(), nullptr);
+  EXPECT_EQ(restored->filter_plan(*restored->space().find("Block.Fast")).rows(), 1u);
+  EXPECT_NE(restored->peek_core_table(), nullptr);
+}
+
+TEST(Snapshot, PerCdoTablesLayoutStillBoots) {
+  // Written by the version-1 snapshot writer, which stored one table per
+  // primed CDO (here Block and Block.Fast), for the make_layer() catalog
+  // vendor {c1 Fast 8, c2 Slow 16}, acme {c3 Fast 32} at journal
+  // sequence 5. The loader skips those tables; the first filter plan
+  // rebuilds the layer's one table from the restored cores.
+  const std::string path =
+      std::string(DSLAYER_TEST_DATA_DIR) + "/snapshot_v1_per_cdo_tables.snap";
+  auto expected = make_layer();
+  expected->add_library("vendor").add(make_core("c1", "Fast", 8));
+  expected->library("vendor")->add(make_core("c2", "Slow", 16));
+  expected->add_library("acme").add(make_core("c3", "Fast", 32));
+  expected->index_cores();
+
+  auto restored = make_layer();
+  const SnapshotLoadReport loaded = load_snapshot(*restored, path, {.verify_payloads = true});
+  EXPECT_EQ(loaded.cores, 3u);
+  EXPECT_EQ(loaded.tables, 0u);
+  EXPECT_EQ(loaded.aliased_bytes, 0u);
+  EXPECT_EQ(loaded.journal_seq, 5u);
+  EXPECT_EQ(dsl::export_layer(*restored), dsl::export_layer(*expected));
+  EXPECT_EQ(restored->peek_core_table(), nullptr);
+
+  const dsl::CoreFilterPlan& plan = restored->filter_plan(*restored->space().find("Block.Fast"));
+  EXPECT_EQ(&plan.table, restored->peek_core_table());
+  dsl::ExplorationSession session(*restored, "Block.Fast");
+  session.decide("Width", Value::number(32.0));
+  EXPECT_EQ(names_of(session.candidates()), (std::vector<std::string>{"c3"}));
 }
 
 TEST(Snapshot, HierarchyFingerprintMismatchThrows) {
@@ -506,6 +577,10 @@ TEST(SessionStore, TornFinalLineIsDropped) {
                 std::ios::app)
       << "torn half-lin";
   EXPECT_EQ(*store.load("s"), "complete\nalso complete\n");
+  // The torn bytes are gone from the file too: an append continues the
+  // intact prefix.
+  store.append("s", "next\n");
+  EXPECT_EQ(*store.load("s"), "complete\nalso complete\nnext\n");
 }
 
 TEST(SessionStore, EncodesHostileNames) {
